@@ -9,13 +9,13 @@ Usage::
     python -m repro perf                    # hot-path timings + breakdown
     python -m repro perf --json             # same, machine-readable
     python -m repro batch qft_16 ex2 --store /tmp/pulses   # batch service
-    python -m repro serve --store /tmp/pulses              # JSON-lines loop
-    python -m repro serve --store /tmp/pulses --async --port 0  # asyncio server
+    python -m repro serve --store /tmp/pulses              # stdin/stdout
+    python -m repro serve --store /tmp/pulses --port 0     # TCP listener
     python -m repro store stats --store /tmp/pulses        # store admin
     python -m repro store reshard --store /tmp/pulses --shards 4
     python -m repro store serve --root /tmp/pulses --port 7777  # store server
-    python -m repro serve --store remote://db:7777 --workers remote --async
-    python -m repro serve --store /tmp/pulses --workers remote --async \\
+    python -m repro serve --store remote://db:7777 --workers remote --port 0
+    python -m repro serve --store /tmp/pulses --workers remote --port 0 \\
         --parts-per-worker 2 --fabric-policy steal --max-queue 64
     python -m repro worker --connect solver:7778 --stats  # fabric occupancy
     python -m repro serve --store "remote://db1:7777|db2:7777"  # 2 replicas

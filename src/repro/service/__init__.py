@@ -129,11 +129,13 @@ the replicas are down; ``all`` refuses any replica lag. Watch
 ``acked``/``quorum_failures`` in batch reports and ``repro store stats``.
 
 *Anti-entropy tuning*: the interval bounds how long a revived replica
-lags (convergence within ~2 rounds); each idle round costs one ``keys``
-exchange per peer, so size the interval to taste — 5 s is fine for
-thousands of entries (see PERF.md for measured idle cost and heal
-throughput). Rounds are jittered to 50–100% of the interval so a fleet
-never exchanges digests in lockstep. Pause/resume/on-demand-heal over
+lags (convergence within ~2 rounds); each idle round costs one
+constant-size ``keys_digest`` probe per peer, so size the interval to
+taste — 5 s is fine for thousands of entries (see PERF.md for measured
+idle cost and heal throughput). Rounds are jittered to 50–100% of the
+interval so a fleet never exchanges digests in lockstep. Each round is
+the same :func:`~repro.service.replication.reconcile` that ``repro store
+repair`` runs once on demand. Pause/resume/on-demand-heal over
 the wire: ``{"op": "antientropy", "action": "pause"|"resume"|"heal"}``;
 cumulative counters (``rounds``, ``keys_healed``, ``bytes``,
 ``skipped_unreachable``) ride the ``stats`` op and the
@@ -178,7 +180,7 @@ With ``--workers remote`` the fabric's dispatch decisions live in
 :class:`~repro.service.scheduler.FabricScheduler` (``service/scheduler.py``)
 rather than the accept loop. The flag map::
 
-    repro serve --async --store /data/s --workers remote \\
+    repro serve --store /data/s --port 7400 --workers remote \\
         --parts-per-worker 2 \\      # reservation depth per worker
         --fabric-policy steal \\     # or 'static' (LPT baseline, no steals)
         --max-queue 64               # admission bound on the front door
@@ -222,7 +224,7 @@ fabric ran out of workers entirely and the dispatcher solved in-process.
 Load testing the service (runbook)
 ----------------------------------
 ``repro loadgen`` (:mod:`repro.service.loadgen`) replays declarative
-traffic scenarios against ``repro serve --async`` and turns each run ×
+traffic scenarios against ``repro serve --port`` and turns each run ×
 repetition into one row of ``run_table.csv`` (see RUN_TABLE_COLUMNS.md
 at the repo root for every column) plus a ``perf.json`` of raw
 evidence::
@@ -268,15 +270,15 @@ the gate holds every rep's row independently.
 
 Front door
 ----------
-``repro serve`` is a JSON-lines request loop on stdin/stdout; with
-``--async`` it becomes the asyncio server
-(:class:`~repro.service.asyncserve.AsyncCompileServer`): requests from many
-clients are micro-batched within a planning window, solved concurrently in
-executor threads, coalesced across batches, and answered out of order
-(correlated by request id). ``repro batch`` compiles a workload list as one
-batch; ``repro store`` administers a store directory (stats / reshard /
-revalidate / repair / audit); ``repro dashboard`` serves the live fleet
-page. See ``repro.service.frontdoor``.
+``repro serve`` is the asyncio server
+(:class:`~repro.service.asyncserve.AsyncCompileServer`) on stdin/stdout, or
+on TCP with ``--port``: requests from many clients are micro-batched within
+a planning window, solved concurrently in executor threads, coalesced
+across batches, and answered out of order (correlated by request id).
+``repro batch`` compiles a workload list as one batch; ``repro store``
+administers a store directory (stats / reshard / revalidate / repair /
+audit); ``repro dashboard`` serves the live fleet page. See
+``repro.service.frontdoor``.
 """
 
 from repro.service.asyncserve import AsyncCompileServer

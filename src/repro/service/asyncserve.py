@@ -1,9 +1,8 @@
 """Asyncio front door: many clients, micro-batched planning, overlapped solves.
 
-The synchronous ``repro serve`` loop handles one JSON line at a time, so the
+``repro serve`` runs this server, over stdin/stdout or TCP. It lets the
 service's cross-request machinery (batch-wide dedup, ``GroupCoalescer``)
-never sees two clients at once. This module rebuilds the front door on
-asyncio:
+see many requests and clients at once:
 
 * **Concurrent parsing** — every connection (TCP) or the stdin pipe feeds
   request lines into one queue as they arrive; protocol errors answer
@@ -429,7 +428,8 @@ class AsyncCompileServer:
                 pass
             self._batcher = None
         self._pool.shutdown(wait=True)
-        # Persist read-recency bumps, same contract as the sync serve loop.
+        # Persist read-recency bumps so a bounded store's LRU order
+        # reflects this session's traffic after restart.
         self.service.store.flush()
 
     # ------------------------------------------------------------ frontends
@@ -536,7 +536,7 @@ def run_server(
     max_queue: Optional[int] = None,
     perf: Optional[PerfRecorder] = None,
 ) -> int:
-    """Blocking entry point for ``repro serve --async``.
+    """Blocking entry point for ``repro serve``.
 
     ``port=None`` serves stdin/stdout; otherwise a TCP listener on
     ``host:port`` (``port=0`` picks a free port and announces it as the

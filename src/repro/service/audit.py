@@ -401,7 +401,6 @@ class FleetAuditor:
             RemoteUnavailable,
             RetryPolicy,
         )
-        from repro.service.storeserver import digest_keys
 
         client = RemoteStore(
             replica_spec,
@@ -410,12 +409,7 @@ class FleetAuditor:
             retry=RetryPolicy(attempts=2, base_s=0.05, cap_s=0.5),
         )
         try:
-            try:
-                probe = client.fetch_keys_digest()
-            except RuntimeError:
-                # Pre-digest server: pull the keys once and hash locally.
-                keys = client.fetch_keys()
-                probe = {"digest": digest_keys(keys), "n": len(keys)}
+            probe = client.fetch_keys_digest()
             stats = client.server_stats()
             if stats is None:
                 return None

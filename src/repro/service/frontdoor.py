@@ -1,12 +1,11 @@
 """``repro serve``, ``repro batch``, ``repro store``: the CLI front door.
 
-``repro serve`` reads JSON-lines requests from stdin and answers on stdout —
-the minimal long-lived deployment: a persistent store directory plus a
-request loop that amortizes compilation across everything it has ever seen.
-With ``--async`` the loop is replaced by the asyncio server
-(:mod:`repro.service.asyncserve`): stdin/stdout by default, a TCP listener
-with ``--port``; requests from many clients are micro-batched and solved
-concurrently, responses return out of order tagged by request id.
+``repro serve`` runs the asyncio compile server
+(:mod:`repro.service.asyncserve`) over a persistent store, so compilation
+is amortized across everything the store has ever seen. It reads
+JSON-lines requests on stdin and answers on stdout, or listens on TCP with
+``--port``. Requests from many clients are micro-batched and solved
+concurrently; responses return out of order, tagged by request id.
 
 ``repro batch`` compiles a workload list (named programs, ``.qasm`` files,
 or directories of them) as *one* batch: groups dedupe across all programs,
@@ -63,15 +62,7 @@ import threading
 from typing import IO, List, Optional, Sequence
 
 from repro.circuits.circuit import Circuit
-from repro.service.protocol import (
-    ProtocolError,
-    encode,
-    error_response,
-    parse_request,
-    request_circuit,
-    resolve_program,
-    response_for,
-)
+from repro.service.protocol import ProtocolError, resolve_program
 from repro.service.service import BatchReport, CompileService
 from repro.service.sharding import open_store, reshard
 from repro.service.store import StoreVersionError
@@ -216,137 +207,57 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
 
 
 # ------------------------------------------------------------------- serve
-def serve_loop(
-    service: CompileService,
-    stdin: IO[str],
-    stdout: IO[str],
-) -> int:
-    """Blocking request loop; returns the exit code."""
-    try:
-        return _serve_lines(service, stdin, stdout)
-    finally:
-        # Persist read-recency bumps so a bounded store's LRU order
-        # reflects this session's traffic after restart.
-        service.store.flush()
-
-
-def _serve_lines(
-    service: CompileService,
-    stdin: IO[str],
-    stdout: IO[str],
-) -> int:
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            print(encode(error_response("", str(exc))), file=stdout, flush=True)
-            continue
-        if request.is_command:
-            if request.cmd == "quit":
-                print(
-                    encode({"id": request.id, "ok": True, "bye": True}),
-                    file=stdout, flush=True,
-                )
-                return 0
-            if request.cmd == "stats":
-                print(
-                    encode(
-                        {
-                            "id": request.id,
-                            "ok": True,
-                            "store": service.store.stats.to_dict(),
-                            "entries": len(service.store),
-                            "batches": service.n_batches,
-                            "coalesced": service.coalescer.coalesced,
-                        }
-                    ),
-                    file=stdout, flush=True,
-                )
-                continue
-            print(
-                encode(error_response(request.id, f"unknown cmd {request.cmd!r}")),
-                file=stdout, flush=True,
-            )
-            continue
-        try:
-            circuit = request_circuit(request)
-            report, batch = service.handle_request(circuit)
-            print(encode(response_for(request, report, batch)), file=stdout, flush=True)
-        except Exception as exc:  # one bad request must not kill the loop
-            print(
-                encode(error_response(request.id, f"{type(exc).__name__}: {exc}")),
-                file=stdout, flush=True,
-            )
-    return 0
-
-
 def cmd_serve(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="JSON-lines compile service on stdin/stdout "
-                    "(or TCP with --async --port).",
+                    "(or TCP with --port).",
     )
     _add_service_args(parser)
-    parser.add_argument(
-        "--async", dest="use_async", action="store_true",
-        help="asyncio front door: micro-batched concurrent requests, "
-             "out-of-order responses tagged by request id",
-    )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
         "--port", type=int, default=None,
-        help="with --async: listen on TCP instead of stdin/stdout "
-             "(0 picks a free port; the bound address is announced as the "
-             "first stdout line)",
+        help="listen on TCP instead of stdin/stdout (0 picks a free port; "
+             "the bound address is announced as the first stdout line)",
     )
     parser.add_argument(
         "--window-ms", type=float, default=25.0,
-        help="async planning window: requests arriving within this many "
-             "ms are planned as one batch",
+        help="planning window: requests arriving within this many ms are "
+             "planned as one batch",
     )
     parser.add_argument(
         "--max-batch", type=int, default=16,
-        help="async: cap on requests per planning window",
+        help="cap on requests per planning window",
     )
     parser.add_argument(
         "--inflight", type=int, default=2,
-        help="async: batches solving concurrently (coalesced via the "
-             "shared GroupCoalescer)",
+        help="batches solving concurrently (coalesced via the shared "
+             "GroupCoalescer)",
     )
     parser.add_argument(
         "--max-queue", type=int, default=None,
-        help="async admission control: requests arriving while this many "
+        help="admission control: requests arriving while this many "
              "compiles are already pending get a typed 'overloaded' "
              "response with a retry_after_s hint instead of buffering "
              "without bound (default: unbounded)",
     )
     args = parser.parse_args(argv)
-    if args.port is not None and not args.use_async:
-        # Validate before _make_service: a usage error must not leave a
-        # freshly created (and fingerprint-stamped) store directory behind.
-        print("repro serve: --port requires --async", file=sys.stderr)
-        return 2
     try:
         service = _make_service(args)
     except StoreVersionError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    if args.use_async:
-        from repro.service.asyncserve import run_server
+    from repro.service.asyncserve import run_server
 
-        return run_server(
-            service,
-            host=args.host,
-            port=args.port,
-            window_s=args.window_ms / 1000.0,
-            max_batch=args.max_batch,
-            max_inflight=args.inflight,
-            max_queue=args.max_queue,
-        )
-    return serve_loop(service, sys.stdin, sys.stdout)
+    return run_server(
+        service,
+        host=args.host,
+        port=args.port,
+        window_s=args.window_ms / 1000.0,
+        max_batch=args.max_batch,
+        max_inflight=args.inflight,
+        max_queue=args.max_queue,
+    )
 
 
 # ------------------------------------------------------------------ worker

@@ -3,7 +3,7 @@
 Every performance claim before this module came from single-run anecdotes.
 The harness turns "it felt fast" into a **run table**: N concurrent TCP
 clients replay a declarative traffic scenario against ``repro serve
---async``, and every run × repetition becomes one row of ``run_table.csv``
+--port``, and every run × repetition becomes one row of ``run_table.csv``
 (throughput, latency percentiles, solves vs store hits, sheds, failovers,
 quorum failures, steals — see RUN_TABLE_COLUMNS.md at the repo root for
 the full column reference) plus a per-run ``perf.json`` holding the raw
@@ -720,7 +720,7 @@ class ScenarioHarness:
             if scenario.store_state in ("warm", "mixed"):
                 self._warm_store(spec)
 
-            serve = ["serve", "--store", spec, "--async", "--port", "0"]
+            serve = ["serve", "--store", spec, "--port", "0"]
             if scenario.replicas == 1 and scenario.shards > 1:
                 serve += ["--shards", str(scenario.shards)]
             if scenario.fabric:
@@ -1226,7 +1226,7 @@ def cmd_loadgen(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro loadgen",
         description="Load/soak harness: replay a traffic scenario against "
-                    "repro serve --async, emit run_table.csv + per-run "
+                    "repro serve --port, emit run_table.csv + per-run "
                     "perf JSON, gate on SLO floors.",
     )
     parser.add_argument(
@@ -1246,7 +1246,7 @@ def cmd_loadgen(argv: Sequence[str]) -> int:
                         help="output directory: run_table.csv + run dirs")
     parser.add_argument(
         "--connect", default=None,
-        help="host:port of an already-running repro serve --async: drive "
+        help="host:port of an already-running repro serve --port: drive "
              "it instead of orchestrating a topology (no fault injection)",
     )
     parser.add_argument(
@@ -1355,7 +1355,7 @@ class InProcessServer:
     games — build a :class:`CompileService`, ``start()`` returns the
     bound TCP port, ``stop()`` drains and joins. The loadgen client side
     (:func:`drive`, :func:`server_stats`) talks to it exactly as it
-    would to a real ``repro serve --async`` process.
+    would to a real ``repro serve --port`` process.
     """
 
     def __init__(self, service, **server_kwargs) -> None:

@@ -5,24 +5,25 @@ One JSON object per line. Requests name a program or carry inline QASM::
     {"id": "r1", "name": "qft_10"}
     {"id": "r2", "qasm": "OPENQASM 2.0; ...", "program": "mine"}
     {"cmd": "stats"}      # store + service counters
-    {"cmd": "quit"}       # drain and close this connection / exit
-    {"cmd": "shutdown"}   # async server only: stop serving entirely
+    {"cmd": "quit"}       # close this connection (stdin: exit)
+    {"cmd": "shutdown"}   # stop serving entirely
 
 Responses echo the request id and report coverage, latency, and timing::
 
     {"id": "r1", "ok": true, "program": "qft_10", "coverage_rate": 0.91, ...}
     {"id": "r2", "ok": false, "error": "..."}
 
-The synchronous ``repro serve`` loop answers strictly in request order. The
-asyncio front door (``repro serve --async``) micro-batches requests across
-connections and answers **out of order** — whichever batch finishes first
-responds first — so the request id is the only way to correlate a response
-with its request. A request that arrives without an id is assigned one
+The asyncio front door micro-batches requests across connections and
+answers **out of order** — whichever batch finishes first responds first —
+so the request id is the only way to correlate a response with its
+request. A request that arrives without an id is assigned one
 (``auto<n>``, per-server counter, echoed back) via
-:func:`assign_request_id`; async responses additionally carry ``"batch"``,
-the server-side batch sequence number the request was planned in.
+:func:`assign_request_id`. A line that fails to parse is answered with the
+id it carried when that much was readable, else with an assigned one.
+Compile responses additionally carry ``"batch"``, the server-side batch
+sequence number the request was planned in.
 
-Under overload the async server sheds instead of buffering without bound:
+Under overload the server sheds instead of buffering without bound:
 a request arriving while the planning queue sits at ``--max-queue`` gets a
 typed refusal, ``{"ok": false, "error": "overloaded", "overloaded": true,
 "retry_after_s": ...}`` (:func:`overloaded_response`) — back off for the

@@ -497,9 +497,7 @@ class RemoteStore(StoreBackend):
 
         The constant-size replica-convergence probe — compare against
         :func:`~repro.service.storeserver.digest_keys` of another key set
-        instead of shipping full key lists. Raises ``RuntimeError`` when
-        the server predates the verb (callers fall back to
-        :meth:`fetch_keys`)."""
+        instead of shipping full key lists."""
         response = self._rpc({"op": "keys_digest"})
         return {"digest": response["digest"], "n": int(response["n"])}
 

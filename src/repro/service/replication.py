@@ -37,14 +37,16 @@ the raising ``fetch_*``/``send_*`` wire primitives of
   own ``degraded``, visible per replica and closable by anti-entropy or
   :meth:`ReplicatedStore.repair`).
 
-* **``repair()`` re-syncs lagging replicas from their peers.** It
-  compares per-replica key sets (one ``keys`` round trip each) and copies
-  the missing entries with ``get_many``/``put_many`` frames. Entries
-  cross the wire as the same canonical ``entry_to_dict`` JSON the disk
-  files hold, so a repaired replica's entry files are *bit-identical* to
-  its peer's — the same guarantee ``repro store reshard`` gives locally.
-  An unreachable replica is skipped (the next repair pass catches it up);
-  repair after an outage is idempotent.
+* **``repair()`` re-syncs lagging replicas from their peers.** It runs
+  one :func:`reconcile` round, the same diff-and-copy the store servers'
+  anti-entropy loops run: ``keys_digest`` probes first (a converged set
+  stops there), then the key sets are unioned and the missing entries
+  copied with ``get_many``/``put_many`` frames. Entries cross the wire as
+  the same canonical ``entry_to_dict`` JSON the disk files hold, so a
+  repaired replica's entry files are *bit-identical* to its peer's — the
+  same guarantee ``repro store reshard`` gives locally. An unreachable
+  replica is skipped (the next repair pass catches it up); repair after
+  an outage is idempotent.
 
 The engine-fingerprint guard fans out too: every replica is claimed, a
 mismatch anywhere is raised loudly, and a claim absorbed while a replica
@@ -74,6 +76,7 @@ from repro.service.remote import (
     split_replicas,
 )
 from repro.service.store import StoreBackend
+from repro.service.storeserver import digest_keys, encode_entry
 
 T = TypeVar("T")
 
@@ -427,74 +430,131 @@ class ReplicatedStore(StoreBackend):
 
     # --------------------------------------------------------------- repair
     def repair(self) -> Dict:
-        """Re-sync lagging replicas from their peers, bit-identically.
+        """Re-sync lagging replicas from their peers: one :func:`reconcile`
+        round over every replica.
 
-        Per-replica ``keys`` digests are compared; every reachable replica
-        missing entries gets them copied over in ``get_many``/``put_many``
-        frames from the first peer that holds each key. Entries travel as
-        the canonical ``entry_to_dict`` JSON the entry files themselves
-        hold, so the repaired replica's files match its peer's byte for
-        byte. Unreachable replicas are skipped — run repair again once
-        they are back. Returns a summary (``entries`` = union size,
-        ``copied`` total, ``copied_by_replica``).
-
-        Safe under concurrent writes: entries are immutable and
-        content-addressed (one canonical JSON per group key), so a write
-        racing the key-set scan either fans out to every replica itself
-        or is copied here — both land the same bytes, and re-putting an
-        existing key is a no-op rewrite of identical content. Repair is
-        therefore idempotent and never needs the fleet quiesced.
+        Returns a summary (``reachable`` replicas, ``entries`` = union
+        size, ``copied`` total, ``copied_by_replica``). Unreachable
+        replicas are skipped — run repair again once they are back; only
+        a route with no reachable replica at all raises.
         """
-        views: List[Optional[set]] = []
-        for replica in self.replicas:
-            try:
-                views.append(set(replica.fetch_keys()))
-            except RemoteUnavailable:
-                views.append(None)
-        reachable = [i for i, view in enumerate(views) if view is not None]
+        result = reconcile(self.replicas)
+        reachable = sum(result.reachable)
         if not reachable:
             raise RemoteUnavailable(
                 f"no replica of {self.address} reachable; nothing to repair"
             )
-        union: set = set()
-        for index in reachable:
-            union |= views[index]
-        copied_by_replica = [0] * len(self.replicas)
-        for index in reachable:
-            missing = sorted(union - views[index])
-            if not missing:
-                continue
-            by_source: Dict[int, List[bytes]] = {}
-            for key in missing:
-                source = next(
-                    (
-                        j
-                        for j in reachable
-                        if j != index and key in views[j]
-                    ),
-                    None,
-                )
-                if source is not None:
-                    by_source.setdefault(source, []).append(key)
-            fetched: List[LibraryEntry] = []
-            for source, keys in sorted(by_source.items()):
-                try:
-                    fetched.extend(
-                        e
-                        for e in self.replicas[source].fetch_many(keys)
-                        if e is not None
-                    )
-                except RemoteUnavailable:
-                    continue  # source died mid-repair; next pass catches it
-            if fetched:
-                # Loud on failure: the caller asked for this replica to be
-                # repaired, so losing it mid-copy is an error, not a miss.
-                self.replicas[index].send_many(fetched)
-                copied_by_replica[index] = len(fetched)
         return {
             "replicas": len(self.replicas),
-            "reachable": len(reachable),
-            "entries": len(union),
-            "copied": sum(copied_by_replica),
-            "copied_by_replica": copied_by_replica,
+            "reachable": reachable,
+            "entries": result.entries,
+            "copied": sum(result.copied),
+            "copied_by_replica": result.copied,
         }
+
+
+# ---------------------------------------------------------------- reconcile
+class LocalReplica:
+    """A local :class:`StoreBackend` behind the raising wire primitives
+    :func:`reconcile` calls, so an anti-entropy loop's own store takes part
+    next to its :class:`RemoteStore` peers. Reads peek: reconciling never
+    counts a local read as a hit or a miss."""
+
+    def __init__(self, store: StoreBackend) -> None:
+        self.store = store
+
+    def fetch_keys_digest(self) -> Dict:
+        keys = self.store.keys()
+        return {"digest": digest_keys(keys), "n": len(keys)}
+
+    def fetch_keys(self) -> List[bytes]:
+        return self.store.keys()
+
+    def fetch_many(self, keys: Sequence[bytes]) -> List[Optional[LibraryEntry]]:
+        return [self.store.peek_key(key) for key in keys]
+
+    def send_many(self, entries: Sequence[LibraryEntry]) -> None:
+        self.store.put_many(entries)
+
+
+@dataclass
+class Reconciled:
+    """What one :func:`reconcile` round did, per participant."""
+
+    reachable: List[bool]  # False once the participant's wire failed
+    copied: List[int]  # entries written to each participant
+    entries: int = 0  # size of the reachable participants' key union
+    bytes: int = 0  # encoded size of every copied entry
+    digests_agree: bool = False  # settled by the keys_digest probes alone
+
+
+def reconcile(participants: Sequence) -> Reconciled:
+    """One diff-and-copy round: every reachable participant ends up holding
+    the union of all their keys.
+
+    Participants are :class:`RemoteStore` replicas or a
+    :class:`LocalReplica`. The round probes each ``keys_digest`` first;
+    when every reachable digest agrees it stops there, so a converged set
+    costs one constant-size frame per participant. Otherwise it fetches
+    each key set, unions them, and copies each missing key from its first
+    holder (in participant order) in ``get_many``/``put_many`` frames. A
+    participant whose wire fails at any step is skipped for the rest of
+    the round; the next round catches it up.
+
+    Entries travel as the canonical ``entry_to_dict`` JSON the entry files
+    hold, so a copy is byte-identical to its source. Entries are immutable
+    and content-addressed, so a write racing the round either fans out by
+    itself or is copied here; both land the same bytes, and re-putting a
+    key rewrites identical content. A round is therefore idempotent and
+    never needs the fleet quiesced.
+    """
+    n = len(participants)
+    reachable = [True] * n
+    result = Reconciled(reachable=reachable, copied=[0] * n)
+    probes: Dict[int, Dict] = {}
+    for index, participant in enumerate(participants):
+        try:
+            probes[index] = participant.fetch_keys_digest()
+        except RemoteUnavailable:
+            reachable[index] = False
+    if len({probe["digest"] for probe in probes.values()}) <= 1:
+        result.digests_agree = True
+        result.entries = max((p["n"] for p in probes.values()), default=0)
+        return result
+    views: Dict[int, set] = {}
+    for index in probes:
+        try:
+            views[index] = set(participants[index].fetch_keys())
+        except RemoteUnavailable:
+            reachable[index] = False
+    union = set().union(*views.values())
+    result.entries = len(union)
+    for index, view in views.items():
+        if not reachable[index]:
+            continue
+        by_source: Dict[int, List[bytes]] = {}
+        for key in sorted(union - view):
+            source = next(
+                (j for j in views if j != index and reachable[j] and key in views[j]),
+                None,
+            )
+            if source is not None:
+                by_source.setdefault(source, []).append(key)
+        fetched: List[LibraryEntry] = []
+        for source, keys in sorted(by_source.items()):
+            try:
+                entries = participants[source].fetch_many(keys)
+            except RemoteUnavailable:
+                reachable[source] = False
+                continue
+            fetched.extend(e for e in entries if e is not None)
+        if not fetched:
+            continue
+        try:
+            participants[index].send_many(fetched)
+        except RemoteUnavailable:
+            reachable[index] = False
+            continue
+        result.copied[index] = len(fetched)
+        result.bytes += sum(len(encode_entry(e)) for e in fetched)
+    return result

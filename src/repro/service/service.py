@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.core.cache import LibraryEntry
@@ -45,7 +45,7 @@ from repro.utils.config import PipelineConfig
 
 @dataclass
 class RequestReport:
-    """Per-program outcome: what a serve-loop response is built from."""
+    """Per-program outcome: what a ``repro serve`` response is built from."""
 
     name: str
     n_groups: int
@@ -199,38 +199,15 @@ class CompileService:
     def _execute(
         self, plan: BatchPlan, snapshot, perf: PerfRecorder
     ) -> Tuple[List[CompileRecord], List[CompileRecord], Dict[str, int]]:
-        """Solve uncovered + trivial groups with claim/salvage semantics.
+        """Solve the uncovered groups on the pool, then the trivial ones.
 
-        Every key is claimed in the coalescer first. A claim can still be
-        *salvaged* from the live store: another batch may have persisted the
-        key between this batch's snapshot and its claim — without the
-        re-check that window would compile (and pay for) the group twice.
-        The re-check is one ``get_many`` over every key this batch owns
-        (one read RPC per remote shard, not one per key); a failed batch
-        must still fail every claim it took, so the batched lookup runs
-        inside the same protected region as the solves.
+        Two passes of :meth:`_claim_and_solve`, then one manifest flush.
+        The trivial pass claims its keys only after the pool's solves are
+        persisted, so a concurrent batch needing an instant group never
+        waits on this batch's GRAPE solve.
         """
-        pending: List[Tuple[int, GateGroup]] = []
-        waiting: Dict[int, "Future"] = {}
-        for vertex, group in enumerate(plan.uncovered):
-            is_owner, future = self.coalescer.claim(group.key())
-            if is_owner:
-                pending.append((vertex, group))
-            else:
-                waiting[vertex] = future
-        owned: List[int] = []
-        salvaged: Dict[int, CompileRecord] = {}
-        resolved: set = set()
-        try:
-            with perf.stage("service.store"):
-                live = self.store.get_many([g.key() for _, g in pending])
-            for (vertex, group), entry in zip(pending, live):
-                if entry is None:
-                    owned.append(vertex)
-                    continue
-                record = _record_from_entry(entry)
-                self.coalescer.resolve(group.key(), record)
-                salvaged[vertex] = record
+
+        def solve_on_pool(owned: List[int]) -> List[CompileRecord]:
             # Constructed inside the protected region: an invalid backend or
             # warm spec must fail the claims too, not strand them.
             executor = WorkerPoolExecutor(
@@ -243,99 +220,109 @@ class CompileService:
             )
             with perf.stage("service.execute"):
                 records = executor.run_indices(plan, snapshot, owned)
-            with perf.stage("service.store"):
-                for vertex in owned:
-                    self._persist(plan.uncovered[vertex], records[vertex])
-                    resolved.add(vertex)
-            trivial_records = self._compile_trivial(plan, perf)
-            with perf.stage("service.store"):
-                self.store.flush()  # one manifest rewrite per batch
-        except BaseException as error:
-            # Never strand a claim: every claimed key that was neither
-            # salvaged nor resolved must fail, or each batch waiting on it
-            # deadlocks forever. This is also what lets a store-layer
-            # QuorumError (a put that could not reach its write concern)
-            # propagate loudly out of submit_batch without wedging
-            # concurrent batches coalesced onto this one's claims.
-            for vertex, group in pending:
-                if vertex not in resolved and vertex not in salvaged:
-                    self.coalescer.fail(group.key(), error)
-            raise
-        for vertex, record in salvaged.items():
-            records[vertex] = record
-        for vertex, future in waiting.items():
-            records[vertex] = future.result()
-        perf.count("service.coalesced", len(waiting))
+            return [records[vertex] for vertex in owned]
+
+        def solve_trivial(owned: List[int]) -> List[CompileRecord]:
+            with perf.stage("service.execute"):
+                return [
+                    compile_with_engine(
+                        self.engine,
+                        plan.trivial[index],
+                        seed_tag=seed_tag_for(plan.trivial[index]),
+                    )
+                    for index in owned
+                ]
+
+        records, n_compiled, n_coalesced = self._claim_and_solve(
+            plan.uncovered, solve_on_pool, perf
+        )
+        trivial_records, _, _ = self._claim_and_solve(
+            plan.trivial, solve_trivial, perf
+        )
+        with perf.stage("service.store"):
+            self.store.flush()  # one manifest rewrite per batch
+        perf.count("service.coalesced", n_coalesced)
         return (
             records,
             trivial_records,
-            {"compiled": len(owned), "coalesced": len(waiting)},
+            {"compiled": n_compiled, "coalesced": n_coalesced},
         )
 
-    def _persist(self, group: GateGroup, record: CompileRecord) -> None:
-        # flush=False: the entry file is durable now, the manifest rewrite
-        # is paid once per batch (submit_batch flushes before returning).
-        self.store.put(
-            LibraryEntry(
-                group=group,
-                pulse=record.pulse,
-                latency=record.latency,
-                iterations=record.iterations,
-                converged=record.converged,
-            ),
-            flush=False,
-        )
-        self.coalescer.resolve(group.key(), record)
+    def _claim_and_solve(
+        self,
+        groups: Sequence[GateGroup],
+        solve: Callable[[List[int]], List[CompileRecord]],
+        perf: PerfRecorder,
+    ) -> Tuple[List[CompileRecord], int, int]:
+        """Claim → ``get_many`` re-check → solve → ``put_many`` → resolve.
 
-    def _compile_trivial(
-        self, plan: BatchPlan, perf: PerfRecorder
-    ) -> List[CompileRecord]:
-        """Virtual-diagonal groups: instant solves, same claim semantics.
+        Every key is claimed in the coalescer first; a key another batch
+        already claimed is waited on instead. An owned claim can still be
+        *salvaged* from the live store: another batch may have persisted
+        the key between this batch's snapshot and its claim, and without
+        the re-check that window would compile (and pay for) the group
+        twice. The re-check is one ``get_many`` and the write one
+        ``put_many(flush=False)``: one read and one write RPC per remote
+        shard, not one per key. ``solve(owned)`` returns one record per
+        owned index, in order.
 
-        Claims are taken up front and live-re-checked with one ``get_many``
-        (the trivial path must not reintroduce per-key read RPCs a remote
-        shard would pay serially); a solve failure fails every still-open
-        claim before propagating, same as the main execute path.
+        Never strands a claim: on any failure every owned key that was not
+        salvaged fails, or each batch waiting on it would deadlock. That
+        is also how a store-layer ``QuorumError`` propagates loudly out of
+        ``submit_batch`` without wedging the batches coalesced onto it.
+
+        Returns the records aligned with ``groups``, the number solved
+        here, and the number served by another in-flight batch.
         """
-        trivial_records: List[Optional[CompileRecord]] = [None] * len(plan.trivial)
-        with perf.stage("service.store"):
-            pending: List[int] = []
-            waiting: Dict[int, "Future"] = {}
-            for index, group in enumerate(plan.trivial):
-                is_owner, future = self.coalescer.claim(group.key())
-                if is_owner:
-                    pending.append(index)
-                else:
-                    waiting[index] = future
-            owned: List[int] = []
-            resolved: set = set()
-            try:
-                live = self.store.get_many(
-                    [plan.trivial[i].key() for i in pending]
-                )
-                for index, entry in zip(pending, live):
-                    if entry is None:
-                        owned.append(index)
-                        continue
-                    record = _record_from_entry(entry)
-                    self.coalescer.resolve(plan.trivial[index].key(), record)
-                    trivial_records[index] = record
-                for index in owned:
-                    group = plan.trivial[index]
-                    record = compile_with_engine(
-                        self.engine, group, seed_tag=seed_tag_for(group)
+        records: List[Optional[CompileRecord]] = [None] * len(groups)
+        pending: List[int] = []
+        waiting: Dict[int, "Future"] = {}
+        for index, group in enumerate(groups):
+            is_owner, future = self.coalescer.claim(group.key())
+            if is_owner:
+                pending.append(index)
+            else:
+                waiting[index] = future
+        owned: List[int] = []
+        solved: List[CompileRecord] = []
+        try:
+            with perf.stage("service.store"):
+                live = self.store.get_many([groups[i].key() for i in pending])
+            for index, entry in zip(pending, live):
+                if entry is None:
+                    owned.append(index)
+                    continue
+                records[index] = _record_from_entry(entry)
+                self.coalescer.resolve(groups[index].key(), records[index])
+            if owned:
+                solved = solve(owned)
+                with perf.stage("service.store"):
+                    # flush=False: the entry files are durable now; the
+                    # manifest rewrite is paid once per batch by _execute.
+                    self.store.put_many(
+                        [
+                            LibraryEntry(
+                                group=groups[index],
+                                pulse=record.pulse,
+                                latency=record.latency,
+                                iterations=record.iterations,
+                                converged=record.converged,
+                            )
+                            for index, record in zip(owned, solved)
+                        ],
+                        flush=False,
                     )
-                    self._persist(group, record)
-                    resolved.add(index)
-                    trivial_records[index] = record
-            except BaseException as error:
-                for index in pending:
-                    if index not in resolved and trivial_records[index] is None:
-                        self.coalescer.fail(plan.trivial[index].key(), error)
-                raise
-            for index, future in waiting.items():
-                trivial_records[index] = future.result()
-        return trivial_records
+        except BaseException as error:
+            for index in pending:
+                if records[index] is None:
+                    self.coalescer.fail(groups[index].key(), error)
+            raise
+        for index, record in zip(owned, solved):
+            records[index] = record
+            self.coalescer.resolve(groups[index].key(), record)
+        for index, future in waiting.items():
+            records[index] = future.result()
+        return records, len(owned), len(waiting)
 
     def _latency_table(
         self,

@@ -117,7 +117,13 @@ def encode_entry(entry: LibraryEntry) -> str:
 
 
 def decode_entry(payload: str) -> LibraryEntry:
-    """Inverse of :func:`encode_entry`."""
+    """Inverse of :func:`encode_entry`; a payload that is not a string is
+    refused with ``TypeError`` (a ``bad-request`` on the wire)."""
+    if not isinstance(payload, str):
+        raise TypeError(
+            f"entry payload must be a base64 string, got "
+            f"{type(payload).__name__}"
+        )
     return entry_from_dict(json.loads(base64.b64decode(payload.encode("ascii"))))
 
 
@@ -241,13 +247,15 @@ class AntiEntropyLoop:
     """Background reconciliation of one server's store with its peers.
 
     Every (jittered) ``interval_s`` the loop runs a *round*: per peer, one
-    ``keys`` round trip, then the symmetric difference streams both ways —
-    keys the peer holds and we miss are pulled with ``get_many`` and
-    written locally, keys we hold and the peer misses are pushed with
-    ``put_many``. Entries are immutable, content-addressed canonical JSON,
-    so healing in either direction lands byte-identical files and racing a
-    live write is harmless (both paths write the same bytes); a replica
-    revived after ``kill -9`` converges with *no* operator action.
+    :func:`~repro.service.replication.reconcile` of this store with that
+    peer — the same routine ``repro store repair`` runs — so the symmetric
+    difference streams both ways: keys the peer holds and we miss are
+    pulled with ``get_many`` and written locally, keys we hold and the
+    peer misses are pushed with ``put_many``. Entries are immutable,
+    content-addressed canonical JSON, so healing in either direction lands
+    byte-identical files and racing a live write is harmless (both paths
+    write the same bytes); a replica revived after ``kill -9`` converges
+    with *no* operator action.
 
     Unreachable peers are skipped and counted (``skipped_unreachable``),
     never retried in a tight loop — the next round catches them. A failed
@@ -365,65 +373,28 @@ class AntiEntropyLoop:
         self.perf.count(self.stat_prefix + field, n)
 
     def run_round(self) -> Dict[str, int]:
-        """One synchronous reconciliation pass over every peer.
+        """One synchronous :func:`~repro.service.replication.reconcile`
+        round between this store and each peer in turn.
 
         Serialized against the background thread (``action=heal`` over the
         wire shares this method), so two rounds never interleave.
         Returns this round's deltas; cumulative totals live in
         :attr:`counters`/:meth:`status`.
         """
-        from repro.service.remote import RemoteUnavailable
+        # Function-level import: replication.py imports this module.
+        from repro.service.replication import LocalReplica, reconcile
 
+        local = LocalReplica(self.store)
         healed = moved_bytes = skipped = digest_skips = 0
         with self._round_lock:
             for client in self._peer_clients():
-                local_keys = set(self.store.keys())
-                try:
-                    # Digest probe first: a converged peer costs one ~100-
-                    # byte round trip instead of the full key list — the
-                    # steady-state cost of every idle round. An older
-                    # server answers the unknown verb with a bad-request
-                    # error (RuntimeError here), so fall back to the full
-                    # exchange rather than refuse to heal across versions.
-                    try:
-                        probe = client.fetch_keys_digest()
-                        if probe["digest"] == digest_keys(local_keys):
-                            digest_skips += 1
-                            continue
-                    except RuntimeError:
-                        pass
-                    peer_keys = set(client.fetch_keys())
-                except RemoteUnavailable:
-                    skipped += 1
-                    continue
-                try:
-                    # Pull what the peer has and we miss...
-                    pulled: List[LibraryEntry] = []
-                    missing_here = sorted(peer_keys - local_keys)
-                    if missing_here:
-                        pulled = [
-                            e
-                            for e in client.fetch_many(missing_here)
-                            if e is not None
-                        ]
-                        if pulled:
-                            self.store.put_many(pulled)
-                    # ...push what we have and the peer misses. Local
-                    # reads peek so healing never skews hit/miss stats.
-                    pushed: List[LibraryEntry] = []
-                    for key in sorted(local_keys - peer_keys):
-                        entry = self.store.peek_key(key)
-                        if entry is not None:
-                            pushed.append(entry)
-                    if pushed:
-                        client.send_many(pushed)
-                except RemoteUnavailable:
-                    skipped += 1  # peer died mid-exchange; next round
-                    continue
-                healed += len(pulled) + len(pushed)
-                moved_bytes += sum(
-                    len(encode_entry(e)) for e in pulled + pushed
-                )
+                result = reconcile([local, client])
+                healed += sum(result.copied)
+                moved_bytes += result.bytes
+                if not result.reachable[1]:
+                    skipped += 1  # the next round catches it up
+                elif result.digests_agree:
+                    digest_skips += 1
         self._count("rounds")
         self._count("keys_healed", healed)
         self._count("bytes", moved_bytes)

@@ -4,7 +4,7 @@ Two kinds of "mix" live here. :func:`instruction_mix` and friends count
 *gates inside one circuit* (the paper's Table II columns). The
 :data:`TRAFFIC_MIXES` registry describes *request traffic* — weighted
 program-name distributions the load harness (:mod:`repro.service.loadgen`)
-replays against ``repro serve --async``. Keeping the registry in the
+replays against ``repro serve --port``. Keeping the registry in the
 workloads layer means a scenario spec can name a mix (``"qft-small"``)
 instead of embedding program lists, and every mix is validated against
 the same program resolver the serve protocol uses.

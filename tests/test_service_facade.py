@@ -1,15 +1,17 @@
 """CompileService end to end: sharing, warm store, coalescing, front door."""
 
+import asyncio
 import io
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.engines import GrapeEngine
-from repro.service import CompileService, PulseStore
-from repro.service.frontdoor import cmd_batch, collect_programs, serve_loop
+from repro.service import AsyncCompileServer, CompileService, PulseStore
+from repro.service.frontdoor import cmd_batch, collect_programs
 from repro.service.protocol import (
     ProtocolError,
     parse_request,
@@ -263,29 +265,52 @@ def test_request_circuit_from_qasm():
 
 
 # ----------------------------------------------------------------- frontdoor
+class _LockstepStdin:
+    """A stdin that hands out its next line only once every earlier line
+    has been answered on ``stdout``: a client waiting for each reply."""
+
+    def __init__(self, lines, stdout, timeout_s=60.0):
+        self._lines = list(lines)
+        self._stdout = stdout
+        self._timeout_s = timeout_s
+        self._sent = 0
+
+    def readline(self):
+        deadline = time.monotonic() + self._timeout_s
+        while self._stdout.getvalue().count("\n") < self._sent:
+            assert time.monotonic() < deadline, "a request went unanswered"
+            time.sleep(0.01)
+        if not self._lines:
+            return ""
+        self._sent += 1
+        return self._lines.pop(0) + "\n"
+
+
 def test_serve_loop_end_to_end(tmp_path):
     service = _service(tmp_path)
-    stdin = io.StringIO(
-        "\n".join(
-            [
-                '{"id": "r1", "name": "qft_4"}',
-                '{"id": "r1b", "name": "qft_4"}',
-                "not json",
-                '{"id": "s", "cmd": "stats"}',
-                '{"id": "q", "cmd": "quit"}',
-                '{"id": "never", "name": "qft_4"}',
-            ]
-        )
-    )
     stdout = io.StringIO()
-    assert serve_loop(service, stdin, stdout) == 0
+    stdin = _LockstepStdin(
+        [
+            '{"id": "r1", "name": "qft_4"}',
+            '{"id": "r1b", "name": "qft_4"}',
+            "not json",
+            '{"id": "s", "cmd": "stats"}',
+            '{"id": "q", "cmd": "quit"}',
+            '{"id": "never", "name": "qft_4"}',
+        ],
+        stdout,
+    )
+    server = AsyncCompileServer(service, max_batch=1)
+    assert asyncio.run(server.serve_stdio(stdin, stdout)) == 0
     lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
     assert len(lines) == 5  # the post-quit request is never answered
-    first, second, bad, stats, bye = lines
+    by_id = {line["id"]: line for line in lines}
+    first, second, stats, bye = (by_id.pop(i) for i in ("r1", "r1b", "s", "q"))
+    (bad,) = by_id.values()
     assert first["ok"] and first["coverage_rate"] == 0.0
     assert second["ok"] and second["coverage_rate"] == 1.0
     assert second["compiled_groups"] == 0
-    assert not bad["ok"]
+    assert not bad["ok"] and bad["id"]  # correlatable, never empty
     assert stats["ok"] and stats["entries"] > 0
     assert bye["bye"]
 

@@ -301,7 +301,7 @@ def test_serve_async_reports_final_stats_on_sigterm(tmp_path):
         [
             sys.executable, "-m", "repro", "serve",
             "--store", str(tmp_path / "store"),
-            "--async", "--port", "0",
+            "--port", "0",
             "--backend", "serial", "--workers", "1",
         ],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

@@ -355,12 +355,15 @@ def test_quorum_error_propagates_through_batch_front_door(tmp_path, config):
             service.submit_batch([qft(4)])
         assert engine.killed
         assert store.stats.quorum_failures >= 1
-        # the claims were failed, not stranded: a retry batch against the
-        # surviving majority completes
+        # the claims were failed, not stranded...
+        assert len(service.coalescer._in_flight) == 0
+        # ...and a retry batch against the surviving majority completes.
+        # The failed batch's single put_many frame already reached A, so
+        # qft_5 is added to give the retry groups of its own to write.
         retry_store = open_store(_fast_spec(server_a, server_b, "majority"))
         retry = CompileService(
             retry_store, config, backend="serial"
-        ).submit_batch([qft(4)])
+        ).submit_batch([qft(4), qft(5)])
         assert retry.n_compiled > 0
         assert retry_store.stats.quorum_failures == 0
     finally:
@@ -510,6 +513,50 @@ def test_repair_is_safe_under_concurrent_writes(tmp_path, config):
         server_b.stop()
 
 
+def test_repair_converges_three_replicas_then_stops_at_the_digest(
+    tmp_path, config
+):
+    """Three replicas, each missing a different entry: one repair makes
+    all three entry directories byte-identical, and a second repair is
+    settled by the keys_digest probes alone (no keys RPC anywhere)."""
+    feed = PulseStore(str(tmp_path / "feed"))
+    CompileService(feed, config, backend="serial").submit_batch([qft(4)])
+    entries = [feed.peek_key(k) for k in feed.keys()]
+    assert len(entries) >= 3
+    servers = []
+    for i in range(3):
+        server, local = _serve(tmp_path, f"r{i}")
+        local.put_many([e for j, e in enumerate(entries) if j != i])
+        servers.append(server)
+    spec = "remote://" + "|".join(server.address for server in servers)
+    try:
+        summary = ReplicatedStore(spec).repair()
+        assert summary["reachable"] == 3
+        assert summary["entries"] == len(entries)
+        assert summary["copied_by_replica"] == [1, 1, 1]
+        for server in servers:
+            server.stop()  # flush before comparing bytes
+        files = [_entry_files(tmp_path / f"r{i}") for i in range(3)]
+        assert files[0] == files[1] == files[2]
+        assert len(files[0]) == len(entries)
+
+        servers = [
+            _revive(tmp_path, f"r{i}", server.port)
+            for i, server in enumerate(servers)
+        ]
+        perf = PerfRecorder()
+        again = ReplicatedStore(spec, perf=perf).repair()
+        assert again["copied"] == 0
+        assert again["entries"] == len(entries)
+        for i in range(3):
+            prefix = f"store.remote.r{i}.ops."
+            assert perf.counters.get(prefix + "keys_digest", 0) == 1
+            assert perf.counters.get(prefix + "keys", 0) == 0
+    finally:
+        for server in servers:
+            server.stop()
+
+
 # ------------------------------------------------------- batched read RPCs
 def test_cold_batch_issues_o_shards_read_rpcs(tmp_path, config):
     """ISSUE acceptance: a cold batch against a remote routing table reads
@@ -536,6 +583,10 @@ def test_cold_batch_issues_o_shards_read_rpcs(tmp_path, config):
             # proportional to the key count)
             frames = counters.get(prefix + "ops.get_many", 0)
             assert 1 <= frames <= 4, counters
+            # writes are batched too: one put_many frame per pass (solved
+            # groups, then trivial ones), never a per-key put
+            assert counters.get(prefix + "ops.put", 0) == 0, counters
+            assert 1 <= counters.get(prefix + "ops.put_many", 0) <= 2, counters
         batched = [n for n in perf.stages if n.endswith("batched_rpc")]
         assert batched, "batched reads never hit the batched_rpc stage"
 

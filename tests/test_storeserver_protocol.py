@@ -110,6 +110,26 @@ def test_truncated_base64_frame_is_answered_not_dropped(served):
         client.close()
 
 
+def test_non_string_entry_payloads_are_bad_requests(served):
+    server, store = served
+    client = _Client(server)
+    try:
+        # An entry that is not a base64 string is the client's error: a
+        # correlatable bad-request, never a kind="server" store failure.
+        for frame in (
+            {"op": "put_many", "entries": [1]},
+            {"op": "put", "entry": None},
+        ):
+            reply = client.ask(frame)
+            assert reply["ok"] is False
+            assert reply["kind"] == "bad-request", reply
+            assert reply["op"] == frame["op"]
+        assert len(store) == 0  # nothing half-written
+        assert client.ask({"op": "ping"})["ok"] is True  # still serving
+    finally:
+        client.close()
+
+
 def test_get_many_empty_and_oversized_lists_are_refused(served):
     server, _ = served
     client = _Client(server)
