@@ -9,23 +9,27 @@ time went.
 
 Stage names are dotted paths (``dynamic.simgraph``); nesting is by
 convention, not enforced, which keeps the per-call overhead to two clock
-reads and a dict update.
+reads and a locked dict update. The lock makes every update exact under
+threads: the pulse stores keep their hit/miss/put counters *only* here
+and read them back through :meth:`PerfRecorder.read_counters`.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterable
 
 from repro.perf.report import PerfReport, StageStat
 
 
 class PerfRecorder:
-    """Accumulates named stage timings and counters."""
+    """Accumulates named stage timings and counters (thread-safe)."""
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
+        self._lock = threading.Lock()
         self.stages: Dict[str, StageStat] = {}
         self.counters: Dict[str, int] = {}
 
@@ -40,11 +44,8 @@ class PerfRecorder:
 
     def record(self, name: str, seconds: float) -> None:
         """Add one timed call to a stage."""
-        stat = self.stages.get(name)
-        if stat is None:
-            stat = self.stages[name] = StageStat(name=name)
-        stat.calls += 1
-        stat.total_s += float(seconds)
+        with self._lock:
+            self._add_stage(name, 1, float(seconds))
 
     def record_since(self, name: str, start: float) -> None:
         """Close an open-ended interval: ``start`` is an earlier reading of
@@ -60,7 +61,15 @@ class PerfRecorder:
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment a named counter."""
-        self.counters[name] = self.counters.get(name, 0) + int(n)
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + int(n)
+
+    def read_counters(self, prefix: str, names: Iterable[str]) -> Dict[str, int]:
+        """``{name: counters[prefix + name]}`` for exactly these names, 0
+        for one never counted, read together under the lock. Exact names,
+        never a prefix scan: ``store.`` also prefixes ``store.shard0.*``."""
+        with self._lock:
+            return {name: self.counters.get(prefix + name, 0) for name in names}
 
     def merge_report(self, report: PerfReport, prefix: str = "") -> None:
         """Fold a finished :class:`PerfReport` into this recorder.
@@ -70,26 +79,31 @@ class PerfRecorder:
         this is how per-worker recorders from the service's process pool are
         folded back into the batch-level recorder.
         """
-        for stat in report.stages:
-            name = prefix + stat.name
-            mine = self.stages.get(name)
-            if mine is None:
-                mine = self.stages[name] = StageStat(name=name)
-            mine.calls += stat.calls
-            mine.total_s += stat.total_s
-        for name, value in report.counters.items():
-            self.count(prefix + name, value)
+        with self._lock:
+            for stat in report.stages:
+                self._add_stage(prefix + stat.name, stat.calls, stat.total_s)
+            for name, value in report.counters.items():
+                name = prefix + name
+                self.counters[name] = self.counters.get(name, 0) + int(value)
 
     def report(self, label: str = "") -> PerfReport:
         """Immutable snapshot of everything recorded so far."""
-        return PerfReport(
-            label=label,
-            stages=[
-                StageStat(name=s.name, calls=s.calls, total_s=s.total_s)
-                for s in self.stages.values()
-            ],
-            counters=dict(self.counters),
-        )
+        with self._lock:
+            return PerfReport(
+                label=label,
+                stages=[
+                    StageStat(name=s.name, calls=s.calls, total_s=s.total_s)
+                    for s in self.stages.values()
+                ],
+                counters=dict(self.counters),
+            )
+
+    def _add_stage(self, name: str, calls: int, seconds: float) -> None:
+        stat = self.stages.get(name)
+        if stat is None:
+            stat = self.stages[name] = StageStat(name=name)
+        stat.calls += calls
+        stat.total_s += seconds
 
 
 def recorder_or_null(perf: "PerfRecorder | None") -> PerfRecorder:

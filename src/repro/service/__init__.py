@@ -58,7 +58,9 @@ Writes are atomic (temp file + ``os.replace``); the entry file lands before
 the manifest, so a crash leaves at worst an orphan entry file, never a torn
 store. The manifest is versioned and carries LRU recency, so a bounded store
 (``max_entries``) evicts the coldest key even across restarts. Hit, miss,
-put, and eviction counters live in ``store.stats``.
+put, and eviction counters live only in the store's ``perf`` recorder
+(``<stat_prefix><field>``, e.g. ``store.hits``); ``store.stats`` is a
+read-only :class:`~repro.service.store.StoreStats` snapshot of them.
 
 Batch planning and execution
 ----------------------------
@@ -136,10 +138,11 @@ idle cost and heal throughput). Rounds are jittered to 50–100% of the
 interval so a fleet never exchanges digests in lockstep. Each round is
 the same :func:`~repro.service.replication.reconcile` that ``repro store
 repair`` runs once on demand. Pause/resume/on-demand-heal over
-the wire: ``{"op": "antientropy", "action": "pause"|"resume"|"heal"}``;
-cumulative counters (``rounds``, ``keys_healed``, ``bytes``,
-``skipped_unreachable``) ride the ``stats`` op and the
-``store.antientropy.*`` perf counters.
+the wire: ``{"op": "antientropy", "action": "pause"|"resume"|"heal"}``.
+The cumulative counters (``rounds``, ``keys_healed``, ``bytes``,
+``skipped_unreachable``, ``digest_skips``) live only in the loop's
+``store.antientropy.*`` perf counters; the ``stats`` op's ``antientropy``
+block and ``AntiEntropyLoop.status()`` read them from there.
 
 *Observability*: ``repro store stats --store <route>`` prints per-shard
 and per-replica tables (``--json`` for machines) — a replica with
@@ -321,11 +324,7 @@ from repro.service.remote import (
     parse_route,
     worker_loop,
 )
-from repro.service.replication import (
-    QuorumError,
-    ReplicatedStore,
-    ReplicatedStoreStats,
-)
+from repro.service.replication import QuorumError, ReplicatedStore
 from repro.service.scheduler import (
     CLOSE_FABRIC,
     SCHEDULER_POLICIES,
@@ -370,7 +369,6 @@ __all__ = [
     "RemoteStore",
     "RemoteUnavailable",
     "ReplicatedStore",
-    "ReplicatedStoreStats",
     "RequestReport",
     "RetryPolicy",
     "SCHEDULER_POLICIES",

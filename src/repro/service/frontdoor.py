@@ -528,16 +528,17 @@ def store_stats_summary(store) -> dict:
     durable facts are the entry totals and per-shard convergence split.
     The ``replicas`` rows (replicated routes only) carry each replica's
     own wire counters plus the failovers it caused — an unhealthy replica
-    is visible here before it pages anyone.
+    is visible here before it pages anyone. Entries are read from one
+    ``snapshot`` (one frame per remote shard), never a ``peek`` per key.
     """
-    entries = [store.peek_key(key) for key in store.keys()]
+    entries = store.snapshot().entries()
     per_shard = store.stats_by_shard()
     shards = getattr(store, "shards", [store])
     return {
         "store": getattr(store, "root", None),
         "n_shards": len(per_shard),
         "entries": len(entries),
-        "non_converged": sum(1 for e in entries if e is not None and not e.converged),
+        "non_converged": sum(1 for e in entries if not e.converged),
         "merged": store.stats.to_dict(),
         "shards": [
             {

@@ -90,8 +90,8 @@ from repro.service.scheduler import (
     ScheduledPart,
 )
 from repro.service.store import (
+    REMOTE_STATS,
     StoreBackend,
-    StoreStats,
     StoreVersionError,
     key_digest,
 )
@@ -300,43 +300,25 @@ def split_replicas(spec: str) -> List[str]:
     return parts
 
 
-@dataclass
-class RemoteStoreStats(StoreStats):
-    """Client-side store counters plus wire degradations.
-
-    ``degraded`` counts operations absorbed after a failed
-    reconnect-and-retry — each one is a get served as a miss, a dropped
-    cache write, or an empty snapshot. ``retry_exhausted`` counts the
-    underlying RPCs that burned their whole :class:`RetryPolicy` budget —
-    it ticks even when a raising primitive's caller (failover, repair,
-    anti-entropy) goes on to recover elsewhere, so a flapping host shows
-    up here before anything actually degrades. Both zero on a healthy
-    fabric.
-    """
-
-    degraded: int = 0
-    retry_exhausted: int = 0
-
-    def to_dict(self) -> Dict[str, float]:
-        payload = super().to_dict()
-        payload["degraded"] = self.degraded
-        payload["retry_exhausted"] = self.retry_exhausted
-        return payload
-
-
 class RemoteStore(StoreBackend):
     """:class:`StoreBackend` over a :class:`~repro.service.storeserver.StoreServer`.
 
     One socket, guarded by a lock (the service calls from several batch
     threads); requests are serialized per store instance, which matches the
     one-lock behavior of a local :class:`~repro.service.store.PulseStore`.
-    ``stats`` counts *this client's* traffic — the server keeps its own.
+    ``stats`` counts *this client's* traffic — the server keeps its own —
+    including wire ``degraded`` and ``retry_exhausted`` (both zero on a
+    healthy fabric; ``retry_exhausted`` ticks even when a raising
+    primitive's caller recovers elsewhere, so a flapping host shows up
+    before anything degrades).
 
     ``add_eviction_guard`` is a local no-op: eviction policy (and any
     bound) lives with the server's store, which cannot see this client's
     in-flight claims. Run remote stores unbounded, or bound them knowing
     eviction is advisory across hosts — same caveat as two local writers.
     """
+
+    stat_fields = REMOTE_STATS
 
     def __init__(
         self,
@@ -365,7 +347,6 @@ class RemoteStore(StoreBackend):
         self.retry = retry if retry is not None else RetryPolicy()
         self.host, self.port = parse_remote_spec(spec)
         self.timeout_s = float(timeout_s)
-        self.stats = RemoteStoreStats()
         self.perf = recorder_or_null(perf)
         self.stat_prefix = stat_prefix
         self._lock = threading.RLock()
@@ -451,8 +432,7 @@ class RemoteStore(StoreBackend):
                     on_failure=self._disconnect,
                 )
             except (OSError, ValueError) as exc:
-                self.stats.retry_exhausted += 1  # already under self._lock
-                self.perf.count(self.stat_prefix + "retry_exhausted")
+                self._count("retry_exhausted")
                 raise RemoteUnavailable(
                     f"store at {self.address} unreachable after "
                     f"{self.retry.attempts} attempts: {exc}"
@@ -465,20 +445,7 @@ class RemoteStore(StoreBackend):
         raise RuntimeError(f"remote store at {self.address}: {message}")
 
     def _degrade(self) -> None:
-        with self._lock:  # counters race across concurrent batch threads
-            self.stats.degraded += 1
-        self.perf.count(self.stat_prefix + "degraded")
-
-    def _count(self, field: str) -> None:
-        """One stats increment, serialized (read-modify-write races)."""
-        self._count_n(field, 1)
-
-    def _count_n(self, field: str, n: int) -> None:
-        if n <= 0:
-            return
-        with self._lock:
-            setattr(self.stats, field, getattr(self.stats, field) + n)
-        self.perf.count(self.stat_prefix + field, n)
+        self._count("degraded")
 
     # ----------------------------------------------------- raising wire ops
     # fetch_*/send_* speak the protocol and RAISE RemoteUnavailable on a
@@ -596,11 +563,11 @@ class RemoteStore(StoreBackend):
             entries = self.fetch_many(keys)
         except RemoteUnavailable:
             self._degrade()
-            self._count_n("misses", len(keys))
+            self._count("misses", len(keys))
             return [None] * len(keys)
         hits = sum(1 for e in entries if e is not None)
-        self._count_n("hits", hits)
-        self._count_n("misses", len(entries) - hits)
+        self._count("hits", hits)
+        self._count("misses", len(entries) - hits)
         return entries
 
     def peek_key(self, key: bytes) -> Optional[LibraryEntry]:
@@ -626,7 +593,7 @@ class RemoteStore(StoreBackend):
         except RemoteUnavailable:
             self._degrade()
             return
-        self._count_n("puts", len(entries))
+        self._count("puts", len(entries))
 
     def flush(self) -> None:
         try:
@@ -663,40 +630,23 @@ class RemoteStore(StoreBackend):
         return revalidate_via_snapshot(self, engine, budget)
 
     def fingerprints(self) -> List[str]:
-        """The server store's engine stamps (empty when unreachable, or
-        when the server predates the stats stamp)."""
-        try:
-            response = self._rpc({"op": "stats"})
-        except RemoteUnavailable:
-            self._degrade()
-            return []
-        return list(response.get("fingerprints") or [])
+        """The server store's engine stamps (empty when unreachable)."""
+        stats = self.server_stats()
+        return stats["fingerprints"] if stats is not None else []
 
     def server_stats(self) -> Optional[Dict]:
-        """The server's own counters and stamps (None when unreachable).
-
-        Carries everything the ``stats`` verb answers: counter dicts,
-        entry totals, the anti-entropy loop status, the monotonic
-        ``uptime_s``/``snapshot_seq`` stamps a poller computes rates
-        from, the engine ``fingerprints``, and the ``non_converged`` and
-        ``orphans`` counts (absent keys from an older server come back
-        as None)."""
+        """The server's ``stats`` reply without ``ok`` (None when
+        unreachable): counter dicts, entry totals, the anti-entropy loop
+        status, the monotonic ``uptime_s``/``snapshot_seq`` stamps a
+        poller computes rates from, the engine ``fingerprints``, and the
+        ``non_converged`` and ``orphans`` counts."""
         try:
             response = self._rpc({"op": "stats"})
         except RemoteUnavailable:
             self._degrade()
             return None
-        return {
-            "stats": response["stats"],
-            "shards": response["shards"],
-            "entries": response["entries"],
-            "antientropy": response.get("antientropy"),
-            "uptime_s": response.get("uptime_s"),
-            "snapshot_seq": response.get("snapshot_seq"),
-            "fingerprints": response.get("fingerprints"),
-            "non_converged": response.get("non_converged"),
-            "orphans": response.get("orphans"),
-        }
+        response.pop("ok")
+        return response
 
 
 def revalidate_via_snapshot(store, engine, budget: int) -> Dict[str, int]:

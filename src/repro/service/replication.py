@@ -56,8 +56,7 @@ never lets mismatched data slip into one copy of the shard.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.core.cache import CoverageReport, LibraryEntry, PulseLibrary
@@ -66,7 +65,6 @@ from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.remote import (
     WRITE_CONCERNS,
     RemoteStore,
-    RemoteStoreStats,
     RemoteUnavailable,
     RetryPolicy,
     coverage_from_keys,
@@ -75,7 +73,7 @@ from repro.service.remote import (
     revalidate_via_snapshot,
     split_replicas,
 )
-from repro.service.store import StoreBackend
+from repro.service.store import REPLICATED_STATS, StoreBackend, StoreStats
 from repro.service.storeserver import digest_keys, encode_entry
 
 T = TypeVar("T")
@@ -112,33 +110,6 @@ def quorum_required(write_concern: str, n_replicas: int) -> int:
     return 1  # w=1
 
 
-@dataclass
-class ReplicatedStoreStats(RemoteStoreStats):
-    """Replica-set counters: wire degradations, read failovers, quorums.
-
-    ``failovers`` counts reads that had to skip a dead replica and were
-    served by a later one — nonzero means a replica is down (or flapping)
-    while the data stays fully served. ``degraded`` keeps the
-    :class:`RemoteStoreStats` meaning: an operation absorbed after *all*
-    replicas failed (reads), plus every replica-level dropped write.
-    ``acked`` counts entries whose write met the route's quorum;
-    ``quorum_failures`` counts write operations that could not and raised
-    :class:`QuorumError` — the batch-report pair that turns "the fleet is
-    degrading" from a log archeology exercise into a column.
-    """
-
-    failovers: int = 0
-    acked: int = 0
-    quorum_failures: int = 0
-
-    def to_dict(self) -> Dict[str, float]:
-        payload = super().to_dict()
-        payload["failovers"] = self.failovers
-        payload["acked"] = self.acked
-        payload["quorum_failures"] = self.quorum_failures
-        return payload
-
-
 class ReplicatedStore(StoreBackend):
     """:class:`StoreBackend` over an ordered list of replica hosts.
 
@@ -149,6 +120,8 @@ class ReplicatedStore(StoreBackend):
     :class:`~repro.service.sharding.ShardedStore` routes digest ranges
     *onto* replica sets.
     """
+
+    stat_fields = REPLICATED_STATS
 
     def __init__(
         self,
@@ -188,9 +161,6 @@ class ReplicatedStore(StoreBackend):
             for i, s in enumerate(specs)
         ]
         self.quorum = quorum_required(self.write_concern, len(self.replicas))
-        self._lock = threading.Lock()
-        self._stats = ReplicatedStoreStats()
-        self.failovers_by_replica: List[int] = [0] * len(self.replicas)
 
     @property
     def address(self) -> str:
@@ -202,61 +172,50 @@ class ReplicatedStore(StoreBackend):
 
     # ------------------------------------------------------------- counters
     @property
-    def stats(self) -> ReplicatedStoreStats:
-        """Merged snapshot: logical read/write counters from this store,
-        ``degraded`` folded in from every replica's dropped writes."""
-        merged = ReplicatedStoreStats()
-        with self._lock:
-            merged.hits = self._stats.hits
-            merged.misses = self._stats.misses
-            merged.puts = self._stats.puts
-            merged.evictions = self._stats.evictions
-            merged.failovers = self._stats.failovers
-            merged.degraded = self._stats.degraded
-            merged.acked = self._stats.acked
-            merged.quorum_failures = self._stats.quorum_failures
-        for replica in self.replicas:
-            merged.degraded += replica.stats.degraded
-            merged.retry_exhausted += replica.stats.retry_exhausted
-        return merged
+    def stats(self) -> StoreStats:
+        """This store's logical read/write counters, with every replica's
+        ``degraded`` and ``retry_exhausted`` folded in and ``failovers``
+        summed over the per-replica ``failover.r<i>`` counters."""
+        own = super().stats
+        replicas = [replica.stats for replica in self.replicas]
+        return replace(
+            own,
+            degraded=own.degraded + sum(r.degraded for r in replicas),
+            retry_exhausted=sum(r.retry_exhausted for r in replicas),
+            failovers=sum(self._failover_counts()),
+        )
 
     def stats_by_replica(self) -> List[Dict[str, float]]:
         """Per-replica health: each replica's own wire counters plus the
         failovers *it* caused (reads that skipped it because it was down)."""
-        with self._lock:
-            failovers = list(self.failovers_by_replica)
         rows = []
-        for index, replica in enumerate(self.replicas):
+        for replica, failovers in zip(self.replicas, self._failover_counts()):
             row = replica.stats.to_dict()
-            row["failovers"] = failovers[index]
+            row["failovers"] = failovers
             row["address"] = replica.address
             rows.append(row)
         return rows
 
-    def _count_n(self, field: str, n: int) -> None:
-        if n <= 0:
-            return
-        with self._lock:
-            setattr(self._stats, field, getattr(self._stats, field) + n)
-        self.perf.count(self.stat_prefix + field, n)
+    def _failover_counts(self) -> List[int]:
+        """Reads that skipped each replica (its ``failover.r<i>`` counter)."""
+        names = [f"failover.r{i}" for i in range(len(self.replicas))]
+        return list(self.perf.read_counters(self.stat_prefix, names).values())
 
     # ---------------------------------------------------------------- reads
     def _failover_read(self, op: Callable[[RemoteStore], T]) -> T:
         """``op`` against the first live replica, in priority order.
 
-        A wire failure at replica ``i`` is counted (per replica and in the
-        merged ``failovers``) and the next replica is tried; raises
-        :class:`RemoteUnavailable` only when the whole set is down.
+        A wire failure at replica ``i`` is counted under
+        ``failover.r<i>`` (which ``stats.failovers`` sums) and the next
+        replica is tried; raises :class:`RemoteUnavailable` only when the
+        whole set is down.
         """
         last: Optional[RemoteUnavailable] = None
         for index, replica in enumerate(self.replicas):
             try:
                 result = op(replica)
             except RemoteUnavailable as exc:
-                with self._lock:
-                    self.failovers_by_replica[index] += 1
-                    self._stats.failovers += 1
-                self.perf.count(f"{self.stat_prefix}failover.r{index}")
+                self._count(f"failover.r{index}")
                 last = exc
                 continue
             return result
@@ -293,9 +252,9 @@ class ReplicatedStore(StoreBackend):
             entry = self._failover_read(lambda r: r.fetch_key(key))
         except RemoteUnavailable:
             self._degrade()
-            self._count_n("misses", 1)
+            self._count("misses")
             return None
-        self._count_n("hits" if entry is not None else "misses", 1)
+        self._count("hits" if entry is not None else "misses")
         return entry
 
     def get_many(self, keys: Sequence[bytes]) -> List[Optional[LibraryEntry]]:
@@ -305,11 +264,11 @@ class ReplicatedStore(StoreBackend):
             entries = self._failover_read(lambda r: r.fetch_many(keys))
         except RemoteUnavailable:
             self._degrade()
-            self._count_n("misses", len(keys))
+            self._count("misses", len(keys))
             return [None] * len(keys)
         hits = sum(1 for e in entries if e is not None)
-        self._count_n("hits", hits)
-        self._count_n("misses", len(entries) - hits)
+        self._count("hits", hits)
+        self._count("misses", len(entries) - hits)
         return entries
 
     def peek_key(self, key: bytes) -> Optional[LibraryEntry]:
@@ -333,7 +292,7 @@ class ReplicatedStore(StoreBackend):
         return sorted(seen)
 
     def _degrade(self) -> None:
-        self._count_n("degraded", 1)
+        self._count("degraded")
 
     # --------------------------------------------------------------- writes
     def _fan_out_write(
@@ -354,8 +313,7 @@ class ReplicatedStore(StoreBackend):
             except RemoteUnavailable:
                 replica._degrade()  # dropped write at this replica
                 continue
-            if puts_per_delivery:
-                replica._count_n("puts", puts_per_delivery)
+            replica._count("puts", puts_per_delivery)
             delivered += 1
         return delivered
 
@@ -372,12 +330,12 @@ class ReplicatedStore(StoreBackend):
         ``stats.degraded`` rather than fatal.
         """
         if delivered >= self.quorum:
-            self._count_n("acked", n_entries)
+            self._count("acked", n_entries)
             return
         if self.write_concern == "1":
             self._degrade()  # fully lost cache write; caller keeps its record
             return
-        self._count_n("quorum_failures", 1)
+        self._count("quorum_failures")
         raise QuorumError(
             self.address, self.quorum, delivered, len(self.replicas)
         )
@@ -387,7 +345,7 @@ class ReplicatedStore(StoreBackend):
             lambda r: r.send_put(entry, flush), puts_per_delivery=1
         )
         if delivered:
-            self._count_n("puts", 1)
+            self._count("puts")
         self._check_quorum(delivered, 1)
 
     def put_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None:
@@ -398,7 +356,7 @@ class ReplicatedStore(StoreBackend):
             puts_per_delivery=len(entries),
         )
         if delivered:
-            self._count_n("puts", len(entries))
+            self._count("puts", len(entries))
         self._check_quorum(delivered, len(entries))
 
     def flush(self) -> None:

@@ -15,8 +15,9 @@ stay balanced without rebalancing metadata, and the mapping is a pure
 function of (digest, N) — no directory lookups, no hot shard map.
 
 Each shard is an ordinary :class:`~repro.service.store.PulseStore`: its own
-manifest, its own cross-process flock, its own LRU bound and
-:class:`~repro.service.store.StoreStats`. That is the point of the split —
+manifest, its own cross-process flock, its own LRU bound and counters
+(``store.shard<i>.*`` in the shared perf recorder; ``stats`` sums the
+shard snapshots). That is the point of the split —
 writers to different key ranges never serialize on one global lock, and a
 ``snapshot()`` of the logical store reads per-shard snapshots (each under
 its own shard lock) and merges them, so no global consistency point is
@@ -67,8 +68,10 @@ from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.store import (
     ENTRIES_DIR,
+    LOCAL_STATS,
     MANIFEST_NAME,
     MANIFEST_VERSION,
+    REPLICATED_STATS,
     EvictionGuard,
     PulseStore,
     StoreBackend,
@@ -275,34 +278,10 @@ class ShardedStore(StoreBackend):
     # ------------------------------------------------------------------ api
     @property
     def stats(self) -> StoreStats:
-        """Merged per-shard counters (a fresh snapshot each access)."""
-        if self.routes is not None:
-            from repro.service.replication import ReplicatedStoreStats
-
-            merged = ReplicatedStoreStats()
-        else:
-            merged = StoreStats()
-        for shard in self.shards:
-            shard_stats = shard.stats
-            merged.hits += shard_stats.hits
-            merged.misses += shard_stats.misses
-            merged.puts += shard_stats.puts
-            merged.evictions += shard_stats.evictions
-            if hasattr(merged, "degraded"):
-                merged.degraded += getattr(shard_stats, "degraded", 0)
-            if hasattr(merged, "retry_exhausted"):
-                merged.retry_exhausted += getattr(
-                    shard_stats, "retry_exhausted", 0
-                )
-            if hasattr(merged, "failovers"):
-                merged.failovers += getattr(shard_stats, "failovers", 0)
-            if hasattr(merged, "acked"):
-                merged.acked += getattr(shard_stats, "acked", 0)
-            if hasattr(merged, "quorum_failures"):
-                merged.quorum_failures += getattr(
-                    shard_stats, "quorum_failures", 0
-                )
-        return merged
+        """Sum of the shard snapshots; a routed store reports the
+        replica-set fields whether or not any route replicates."""
+        fields = LOCAL_STATS if self.routes is None else REPLICATED_STATS
+        return StoreStats.total((shard.stats for shard in self.shards), fields)
 
     def stats_by_shard(self) -> List[Dict[str, float]]:
         return [shard.stats.to_dict() for shard in self.shards]

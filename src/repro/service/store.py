@@ -16,12 +16,14 @@ either the previous manifest (orphan entry file, harmless) or the new one
 written by an incompatible layout raises :class:`StoreVersionError`.
 
 The store keeps the full library in memory (entries are small), counts
-hits/misses/puts/evictions in :class:`StoreStats`, and optionally bounds the
-entry count with least-recently-used eviction. Recency (last ``get``/``put``
-of the key) is bumped in memory and persisted at the next ``flush`` — every
-``put(flush=True)`` and every service batch flushes, and ``repro serve``
-flushes on exit, so LRU order survives restarts for any writer; a purely
-read-only session that never flushes keeps its recency bumps to itself.
+hits/misses/puts/evictions only in its :class:`PerfRecorder` (``stats`` is
+a read-only :class:`StoreStats` snapshot of those counters), and
+optionally bounds the entry count with least-recently-used eviction.
+Recency (last ``get``/``put`` of the key) is bumped in memory and
+persisted at the next ``flush`` — every ``put(flush=True)`` and every
+service batch flushes, and ``repro serve`` flushes on exit, so LRU order
+survives restarts for any writer; a purely read-only session that never
+flushes keeps its recency bumps to itself.
 
 A manifest may carry an *engine fingerprint*: pulse latencies and waveforms
 are only meaningful for the engine/run configuration that produced them, so
@@ -91,14 +93,53 @@ def key_digest(key: bytes) -> str:
     return hashlib.sha256(key).hexdigest()
 
 
-@dataclass
+# The counters each backend kind reports, in ``to_dict`` order. A wire
+# client adds ``degraded`` (operations absorbed after a failed
+# reconnect-and-retry: a get served as a miss, a dropped write, an empty
+# snapshot) and ``retry_exhausted`` (RPCs that burned their whole retry
+# budget, even when the caller recovered elsewhere); a replica set adds
+# read ``failovers`` and the write-quorum ``acked``/``quorum_failures``.
+LOCAL_STATS = ("hits", "misses", "puts", "evictions")
+REMOTE_STATS = LOCAL_STATS + ("degraded", "retry_exhausted")
+REPLICATED_STATS = REMOTE_STATS + ("failovers", "acked", "quorum_failures")
+
+
+@dataclass(frozen=True)
 class StoreStats:
-    """Cumulative counters for one store instance (not persisted)."""
+    """Read-only snapshot of one store instance's counters (not persisted).
+
+    The counters live only in the store's :class:`PerfRecorder`, under
+    ``<stat_prefix><field>``; ``store.stats`` reads them into a fresh
+    snapshot. ``reported`` names the fields the backend reports (one of
+    the tuples above); unreported fields read 0.
+    """
 
     hits: int = 0
     misses: int = 0
     puts: int = 0
     evictions: int = 0
+    degraded: int = 0
+    retry_exhausted: int = 0
+    failovers: int = 0
+    acked: int = 0
+    quorum_failures: int = 0
+    reported: Sequence[str] = LOCAL_STATS
+
+    @classmethod
+    def read(
+        cls, perf: PerfRecorder, prefix: str, fields: Sequence[str]
+    ) -> "StoreStats":
+        """``fields`` read from ``perf`` by their exact prefixed names."""
+        return cls(reported=tuple(fields), **perf.read_counters(prefix, fields))
+
+    @classmethod
+    def total(
+        cls, parts: Iterable["StoreStats"], fields: Sequence[str]
+    ) -> "StoreStats":
+        """Field-wise sum of ``parts`` (a sharded store's merged view)."""
+        parts = list(parts)
+        sums = {name: sum(getattr(p, name) for p in parts) for name in fields}
+        return cls(reported=tuple(fields), **sums)
 
     @property
     def requests(self) -> int:
@@ -109,13 +150,11 @@ class StoreStats:
         return self.hits / self.requests if self.requests else 0.0
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+        payload: Dict[str, float] = {n: getattr(self, n) for n in LOCAL_STATS}
+        payload["hit_rate"] = self.hit_rate
+        for name in self.reported:
+            payload.setdefault(name, getattr(self, name))
+        return payload
 
 
 def _atomic_write_json(path: str, payload: Dict) -> None:
@@ -154,8 +193,9 @@ class StoreBackend(abc.ABC):
     * ``get_many``/``put_many`` are the batched spellings with identical
       per-key semantics — the service reads through them so a backend on
       the far side of a wire pays one round trip per host, not per key;
-    * ``stats`` aggregates hit/miss/put/eviction counters for this
-      instance (a sharded backend merges per-shard counters);
+    * ``stats`` is a read-only :class:`StoreStats` snapshot of this
+      instance's counters, which live only in its ``perf`` recorder under
+      ``<stat_prefix><field>`` (a sharded backend sums its shards');
     * ``claim_fingerprint`` refuses to serve results produced under a
       different engine/run identity;
     * ``add_eviction_guard`` lets each owner veto LRU victims (in-flight
@@ -163,7 +203,18 @@ class StoreBackend(abc.ABC):
       compose — two services over one store both stay protected.
     """
 
-    stats: StoreStats
+    perf: PerfRecorder
+    stat_prefix: str
+    stat_fields: Sequence[str] = LOCAL_STATS
+
+    @property
+    def stats(self) -> StoreStats:
+        return StoreStats.read(self.perf, self.stat_prefix, self.stat_fields)
+
+    def _count(self, field: str, n: int = 1) -> None:
+        """Bump ``<stat_prefix><field>``, the counter's only copy."""
+        if n > 0:
+            self.perf.count(self.stat_prefix + field, n)
 
     @abc.abstractmethod
     def __len__(self) -> int: ...
@@ -277,7 +328,6 @@ class PulseStore(StoreBackend):
             raise ValueError("max_entries must be >= 1")
         self.root = str(root)
         self.max_entries = max_entries
-        self.stats = StoreStats()
         self.perf = recorder_or_null(perf)
         # Shards of one logical store namespace their perf names
         # ("store.shard3.hits") so `repro perf` shows the per-shard split.
@@ -504,11 +554,9 @@ class PulseStore(StoreBackend):
         with self._lock:
             entry = self._library.lookup_key(key)
             if entry is None:
-                self.stats.misses += 1
-                self.perf.count(self.stat_prefix + "misses")
+                self._count("misses")
                 return None
-            self.stats.hits += 1
-            self.perf.count(self.stat_prefix + "hits")
+            self._count("hits")
             self._touch(key)
             return entry
 
@@ -529,8 +577,7 @@ class PulseStore(StoreBackend):
             self._library.add(entry)
             self._tombstones.discard(key_digest(key))
             self._touch(key)
-            self.stats.puts += 1
-            self.perf.count(self.stat_prefix + "puts")
+            self._count("puts")
             if self.max_entries is not None:
                 while len(self._library) > self.max_entries:
                     if not self._evict_lru(protect=key):
@@ -629,6 +676,5 @@ class PulseStore(StoreBackend):
         path = self._entry_path(victim)
         if os.path.exists(path):
             os.unlink(path)
-        self.stats.evictions += 1
-        self.perf.count(self.stat_prefix + "evictions")
+        self._count("evictions")
         return True

@@ -227,6 +227,12 @@ def _batch_list(request: Dict, field: str) -> list:
     return value
 
 
+# An AntiEntropyLoop's cumulative counters, in ``status()`` order.
+ANTIENTROPY_COUNTERS = (
+    "rounds", "keys_healed", "bytes", "skipped_unreachable", "digest_skips"
+)
+
+
 def split_peers(peers: Union[str, Sequence[str]]) -> List[str]:
     """``h1:p,h2:p`` (comma or ``|`` separated, ``remote://`` optional)
     -> validated peer specs for an :class:`AntiEntropyLoop`. Loud on
@@ -262,9 +268,10 @@ class AntiEntropyLoop:
     round never kills the daemon thread. ``pause()``/``resume()`` gate the
     background rounds (the ``antientropy`` protocol op drives them over
     the wire, plus ``action=heal`` for a synchronous on-demand round);
-    :meth:`status` is the observable state, and the same counters flow to
-    the perf recorder as ``store.antientropy.rounds`` / ``.keys_healed`` /
-    ``.bytes`` / ``.skipped_unreachable``.
+    :meth:`status` is the observable state; its cumulative counters live
+    only in the perf recorder, as ``store.antientropy.rounds`` /
+    ``.keys_healed`` / ``.bytes`` / ``.skipped_unreachable`` /
+    ``.digest_skips``.
 
     Sizing note: every round opens with one ``keys_digest`` probe per
     peer (one hash, ~100 bytes); only a mismatch pays the O(union of key
@@ -294,15 +301,7 @@ class AntiEntropyLoop:
         self.timeout_s = float(timeout_s)
         self.perf = recorder_or_null(perf)
         self.stat_prefix = stat_prefix
-        self.counters: Dict[str, int] = {
-            "rounds": 0,
-            "keys_healed": 0,
-            "bytes": 0,
-            "skipped_unreachable": 0,
-            "digest_skips": 0,
-        }
         self._clients = None  # built lazily; RemoteStore imports circularly
-        self._lock = threading.Lock()  # counters
         self._round_lock = threading.Lock()  # one round at a time
         self._stop = threading.Event()
         self._paused = threading.Event()
@@ -365,12 +364,11 @@ class AntiEntropyLoop:
             ]
         return self._clients
 
-    def _count(self, field: str, n: int = 1) -> None:
-        if n <= 0:
-            return
-        with self._lock:
-            self.counters[field] += n
-        self.perf.count(self.stat_prefix + field, n)
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Cumulative round counters, read from the recorder's
+        ``<stat_prefix><name>`` counters (their only copy)."""
+        return self.perf.read_counters(self.stat_prefix, ANTIENTROPY_COUNTERS)
 
     def run_round(self) -> Dict[str, int]:
         """One synchronous :func:`~repro.service.replication.reconcile`
@@ -395,30 +393,28 @@ class AntiEntropyLoop:
                     skipped += 1  # the next round catches it up
                 elif result.digests_agree:
                     digest_skips += 1
-        self._count("rounds")
-        self._count("keys_healed", healed)
-        self._count("bytes", moved_bytes)
-        self._count("skipped_unreachable", skipped)
-        self._count("digest_skips", digest_skips)
-        return {
+        deltas = {
             "keys_healed": healed,
             "bytes": moved_bytes,
             "skipped_unreachable": skipped,
             "digest_skips": digest_skips,
         }
+        self.perf.count(self.stat_prefix + "rounds")
+        for name, n in deltas.items():
+            if n > 0:
+                self.perf.count(self.stat_prefix + name, n)
+        return deltas
 
     # -------------------------------------------------------------- status
     def status(self) -> Dict:
         """Wire-shaped state: config, liveness, and cumulative counters."""
-        with self._lock:
-            counters = dict(self.counters)
         payload = {
             "peers": list(self.peer_specs),
             "interval_s": self.interval_s,
             "paused": self._paused.is_set(),
             "running": self._thread is not None and self._thread.is_alive(),
         }
-        payload.update(counters)
+        payload.update(self.counters)
         return payload
 
 
@@ -449,7 +445,6 @@ class StoreServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_lock = threading.Lock()
         self._conns: set = set()
-        self.n_requests = 0
         self._started_at: Optional[float] = None  # monotonic, set by start()
         self._stats_lock = threading.Lock()
         self._stats_seq = 0  # bumped per stats reply (restart detector)
@@ -558,7 +553,6 @@ class StoreServer:
                 raise ValueError("request must be an object with 'op'")
         except ValueError as exc:
             return _error(f"bad request: {exc}", kind="bad-request"), False
-        self.n_requests += 1
         op = request["op"]
         try:
             if op == "shutdown":

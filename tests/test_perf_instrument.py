@@ -1,5 +1,8 @@
 """Perf subsystem: recorder semantics, report serialization, pipeline wiring."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,39 @@ def test_counters_accumulate():
     recorder.count("iterations", 5)
     recorder.count("groups")
     assert recorder.counters == {"iterations": 15, "groups": 1}
+
+
+def test_concurrent_updates_are_exact():
+    """Store stats are read back from the recorder, so no update may be
+    lost when batch threads count at once."""
+    recorder = PerfRecorder()
+    n_threads, n_calls = 8, 20_000
+    barrier = threading.Barrier(n_threads)
+
+    def hammer():
+        barrier.wait()
+        for _ in range(n_calls):
+            recorder.count("x")
+            recorder.record("s", 0.5)
+
+    threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-update if racy
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert recorder.counters["x"] == n_threads * n_calls
+    assert recorder.stages["s"].calls == n_threads * n_calls
+    assert recorder.stages["s"].total_s == 0.5 * n_threads * n_calls
+    assert recorder.read_counters("", ["x", "never"]) == {
+        "x": n_threads * n_calls,
+        "never": 0,
+    }
 
 
 def test_report_snapshot_is_independent():
