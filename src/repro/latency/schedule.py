@@ -8,21 +8,22 @@ adding the largest latency of its predecessors to the latency of itself."
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
-
-import networkx as nx
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDAG
 from repro.grouping.group import GateGroup
 
 
-def group_dag(circuit: Circuit, groups: Sequence[GateGroup]) -> nx.DiGraph:
+def group_dag(
+    circuit: Circuit, groups: Sequence[GateGroup]
+) -> Tuple[List[int], List[List[int]]]:
     """The restructured DAG: one node per group, edges from gate dependencies.
 
-    Raises if the induced graph is cyclic (Algorithm 1's guard makes this
-    impossible for groups produced by this library, but externally
-    constructed group lists are validated too).
+    Returns a topological order of the group ids and each group's
+    predecessor ids. Raises if the induced graph is cyclic (Algorithm 1's
+    guard makes this impossible for groups produced by this library, but
+    externally constructed group lists are validated too).
     """
     gid_of: Dict[int, int] = {}
     for gid, group in enumerate(groups):
@@ -35,15 +36,45 @@ def group_dag(circuit: Circuit, groups: Sequence[GateGroup]) -> nx.DiGraph:
         raise ValueError(f"gates {sorted(missing)[:5]}... not covered by groups")
 
     dag = CircuitDAG(circuit)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(groups)))
-    for u, v in dag.graph.edges:
-        gu, gv = gid_of[u], gid_of[v]
-        if gu != gv:
-            graph.add_edge(gu, gv)
-    if not nx.is_directed_acyclic_graph(graph):
+    predecessors: List[List[int]] = [[] for _ in groups]
+    successors: List[List[int]] = [[] for _ in groups]
+    for v in range(len(circuit)):
+        gv = gid_of[v]
+        for u in dag.predecessors(v):
+            gu = gid_of[u]
+            if gu != gv and gu not in predecessors[gv]:
+                predecessors[gv].append(gu)
+                successors[gu].append(gv)
+    # Kahn's algorithm: ``order`` grows while it is iterated.
+    waiting = [len(p) for p in predecessors]
+    order = [gid for gid, n in enumerate(waiting) if n == 0]
+    for gid in order:
+        for succ in successors[gid]:
+            waiting[succ] -= 1
+            if waiting[succ] == 0:
+                order.append(succ)
+    if len(order) < len(groups):
         raise ValueError("group-level graph is cyclic; grouping is unschedulable")
-    return graph
+    return order, predecessors
+
+
+def _asap(
+    circuit: Circuit,
+    groups: Sequence[GateGroup],
+    latency_of: Callable[[GateGroup], float],
+) -> Tuple[List[float], List[float]]:
+    """(start, finish) time of each group under Algorithm 3's schedule.
+
+    Each finish time is a max over predecessors plus one add, so the result
+    is bit-identical in any topological order.
+    """
+    order, predecessors = group_dag(circuit, groups)
+    start = [0.0] * len(groups)
+    finish = [0.0] * len(groups)
+    for gid in order:
+        start[gid] = max((finish[p] for p in predecessors[gid]), default=0.0)
+        finish[gid] = start[gid] + latency_of(groups[gid])
+    return start, finish
 
 
 def overall_latency(
@@ -52,12 +83,7 @@ def overall_latency(
     latency_of: Callable[[GateGroup], float],
 ) -> float:
     """Algorithm 3: longest until-this-step latency over the group DAG."""
-    graph = group_dag(circuit, groups)
-    finish: Dict[int, float] = {}
-    for gid in nx.topological_sort(graph):
-        start = max((finish[p] for p in graph.predecessors(gid)), default=0.0)
-        finish[gid] = start + latency_of(groups[gid])
-    return max(finish.values(), default=0.0)
+    return max(_asap(circuit, groups, latency_of)[1], default=0.0)
 
 
 def per_group_start_times(
@@ -66,11 +92,4 @@ def per_group_start_times(
     latency_of: Callable[[GateGroup], float],
 ) -> List[float]:
     """ASAP start time of each group under Algorithm 3's schedule."""
-    graph = group_dag(circuit, groups)
-    finish: Dict[int, float] = {}
-    start_times = [0.0] * len(groups)
-    for gid in nx.topological_sort(graph):
-        start = max((finish[p] for p in graph.predecessors(gid)), default=0.0)
-        start_times[gid] = start
-        finish[gid] = start + latency_of(groups[gid])
-    return start_times
+    return _asap(circuit, groups, latency_of)[0]

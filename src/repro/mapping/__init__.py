@@ -10,7 +10,6 @@ from repro.mapping.crosstalk import (
 )
 from repro.mapping.swaps import count_swaps, decompose_swaps
 from repro.mapping.topology import (
-    CachedTopology,
     Topology,
     fully_connected,
     get_topology,
@@ -30,7 +29,6 @@ __all__ = [
     "pairs_too_close",
     "count_swaps",
     "decompose_swaps",
-    "CachedTopology",
     "Topology",
     "melbourne",
     "melbourne16",

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDAG
 from repro.circuits.gates import Gate
 from repro.mapping.crosstalk import layer_crosstalk
-from repro.mapping.topology import CachedTopology, Topology
+from repro.mapping.topology import Topology
 
 
 @dataclass
@@ -52,7 +52,8 @@ class AStarMapper:
     crosstalk_weight:
         Weight of one close CNOT pair relative to one residual swap.
     max_expansions:
-        A* node budget per layer before falling back to greedy routing.
+        A* node budget per layer before falling back to greedy routing,
+        which joins and emits the layer's pairs one at a time.
     """
 
     def __init__(
@@ -64,7 +65,7 @@ class AStarMapper:
         n_layout_candidates: int = 4,
         seed: int = 20200301,
     ):
-        self.topo = CachedTopology(topology)
+        self.topo = topology
         self.crosstalk_aware = crosstalk_aware
         self.crosstalk_weight = crosstalk_weight
         self.max_expansions = max_expansions
@@ -113,9 +114,7 @@ class AStarMapper:
                 result = self._map_with_layout(circuit, layout)
             finally:
                 self.crosstalk_aware = saved
-            metric = crosstalk_metric(
-                decompose_swaps(result.circuit), self.topo.topology
-            )
+            metric = crosstalk_metric(decompose_swaps(result.circuit), self.topo)
             score = (metric, result.n_swaps)
             if best is None or score < best[0]:
                 best = (score, result)
@@ -131,13 +130,20 @@ class AStarMapper:
         n_swaps = 0
         n_direction_fixes = 0
         for layer in CircuitDAG(circuit).layers_as_gates():
-            two_qubit = [g for g in layer if g.arity == 2]
-            if two_qubit:
-                swaps, layout = self._route_layer(layout, two_qubit)
-                for p_a, p_b in swaps:
-                    out.append(Gate("swap", (p_a, p_b)))
+            pairs = [g.qubits for g in layer if g.arity == 2]
+            found = self._route_layer(layout, pairs)
+            if found is not None:
+                swaps, layout = found
+                out.extend(Gate("swap", s) for s in swaps)
                 n_swaps += len(swaps)
             for g in layer:
+                if found is None and g.arity == 2:
+                    # A* gave up on this layer: join each pair just before
+                    # emitting its gate, so a later walk cannot pull apart
+                    # a pair joined earlier (the layer's pairs are disjoint).
+                    swaps, layout = self._greedy_route(layout, *g.qubits)
+                    out.extend(Gate("swap", s) for s in swaps)
+                    n_swaps += len(swaps)
                 emitted, fixed = self._emit(g, layout)
                 out.extend(emitted)
                 n_direction_fixes += fixed
@@ -234,16 +240,13 @@ class AStarMapper:
 
     # --------------------------------------------------------------- routing
     def _route_layer(
-        self, layout: Dict[int, int], two_qubit: Sequence[Gate]
-    ) -> Tuple[List[Tuple[int, int]], Dict[int, int]]:
-        """Insert swaps until every gate of the layer is adjacency-satisfied."""
-        pairs = [(g.qubits[0], g.qubits[1]) for g in two_qubit]
+        self, layout: Dict[int, int], pairs: Sequence[Tuple[int, int]]
+    ) -> Optional[Tuple[List[Tuple[int, int]], Dict[int, int]]]:
+        """Swaps that make every pair of the layer adjacent, with the new
+        layout; None when A* exhausts its budget."""
         if self._heuristic_distance(layout, pairs) == 0:
             return [], layout
-        found = self._astar(layout, pairs)
-        if found is not None:
-            return found
-        return self._greedy_route(layout, pairs)
+        return self._astar(layout, pairs)
 
     def _heuristic_distance(
         self, layout: Dict[int, int], pairs: Sequence[Tuple[int, int]]
@@ -325,18 +328,20 @@ class AStarMapper:
         return out
 
     def _greedy_route(
-        self, layout: Dict[int, int], pairs: Sequence[Tuple[int, int]]
+        self, layout: Dict[int, int], a: int, b: int
     ) -> Tuple[List[Tuple[int, int]], Dict[int, int]]:
-        """Fallback: walk each gate's control toward its target step by step."""
-        import networkx as nx
+        """Fallback: walk logical ``a`` toward ``b`` until they are adjacent.
 
-        layout = dict(layout)
+        Each step swaps onto the neighbour closest to ``b`` (the lowest
+        index on ties); ``b`` never moves.
+        """
         swaps: List[Tuple[int, int]] = []
-        graph = self.topo.topology.graph()
-        for a, b in pairs:
-            while self.topo.distance(layout[a], layout[b]) > 1:
-                path = nx.shortest_path(graph, layout[a], layout[b])
-                step = path[1]
-                swaps.append((min(layout[a], step), max(layout[a], step)))
-                layout = self._apply_swap(layout, layout[a], step)
+        target = layout[b]
+        while self.topo.distance(layout[a], target) > 1:
+            here = layout[a]
+            step = min(
+                self.topo.adjacency[here], key=lambda p: self.topo.dist[p][target]
+            )
+            swaps.append((min(here, step), max(here, step)))
+            layout = self._apply_swap(layout, here, step)
         return swaps, layout

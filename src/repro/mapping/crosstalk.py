@@ -9,12 +9,11 @@ strongly to neighbouring qubits.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDAG
-from repro.circuits.gates import Gate
-from repro.mapping.topology import CachedTopology, Topology
+from repro.mapping.topology import Topology
 
 CLOSE_DISTANCE = 1  # hops; pairs at distance <= this interact
 
@@ -22,7 +21,7 @@ CLOSE_DISTANCE = 1  # hops; pairs at distance <= this interact
 def pairs_too_close(
     gate_a_qubits: Sequence[int],
     gate_b_qubits: Sequence[int],
-    topo: CachedTopology,
+    topo: Topology,
     close_distance: int = CLOSE_DISTANCE,
 ) -> bool:
     """Indicator I(gm, gn) of the extended heuristic (Sec IV-A)."""
@@ -33,7 +32,7 @@ def pairs_too_close(
 
 def layer_crosstalk(
     two_qubit_gates: Sequence[Sequence[int]],
-    topo: CachedTopology,
+    topo: Topology,
     close_distance: int = CLOSE_DISTANCE,
 ) -> int:
     """Number of close CNOT pairs within one layer (physical qubit tuples)."""
@@ -56,12 +55,7 @@ def crosstalk_metric(
 
     The circuit must already be expressed on physical qubits (post-mapping).
     """
-    topo = topology if isinstance(topology, CachedTopology) else CachedTopology(topology)
-    total = 0
-    for layer in CircuitDAG(circuit).layers_as_gates():
-        two_qubit = [g.qubits for g in layer if g.arity == 2]
-        total += layer_crosstalk(two_qubit, topo, close_distance)
-    return total
+    return sum(crosstalk_by_layer(circuit, topology, close_distance))
 
 
 def crosstalk_by_layer(
@@ -70,9 +64,9 @@ def crosstalk_by_layer(
     close_distance: int = CLOSE_DISTANCE,
 ) -> List[int]:
     """Per-layer close-pair counts; useful for diagnostics and tests."""
-    topo = topology if isinstance(topology, CachedTopology) else CachedTopology(topology)
-    out = []
-    for layer in CircuitDAG(circuit).layers_as_gates():
-        two_qubit = [g.qubits for g in layer if g.arity == 2]
-        out.append(layer_crosstalk(two_qubit, topo, close_distance))
-    return out
+    return [
+        layer_crosstalk(
+            [g.qubits for g in layer if g.arity == 2], topology, close_distance
+        )
+        for layer in CircuitDAG(circuit).layers_as_gates()
+    ]

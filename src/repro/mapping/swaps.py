@@ -13,11 +13,11 @@ from typing import List, Optional
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
-from repro.mapping.topology import CachedTopology, Topology
+from repro.mapping.topology import Topology
 
 
 def _cx_with_direction(
-    control: int, target: int, topo: Optional[CachedTopology]
+    control: int, target: int, topo: Optional[Topology]
 ) -> List[Gate]:
     """A CNOT on physical wires, reversed via four Hadamards if needed."""
     if topo is None or topo.allowed_direction(control, target):
@@ -35,20 +35,13 @@ def decompose_swaps(circuit: Circuit, topology: Optional[Topology] = None) -> Ci
     direction (wrapping with Hadamards otherwise), so the result is directly
     executable on the directed device.
     """
-    topo = None
-    if topology is not None:
-        topo = (
-            topology
-            if isinstance(topology, CachedTopology)
-            else CachedTopology(topology)
-        )
     out = Circuit(circuit.n_qubits, name=circuit.name)
     for g in circuit:
         if g.name == "swap":
             a, b = g.qubits
-            out.extend(_cx_with_direction(a, b, topo))
-            out.extend(_cx_with_direction(b, a, topo))
-            out.extend(_cx_with_direction(a, b, topo))
+            out.extend(_cx_with_direction(a, b, topology))
+            out.extend(_cx_with_direction(b, a, topology))
+            out.extend(_cx_with_direction(a, b, topology))
         else:
             out.append(g)
     return out
@@ -66,15 +59,10 @@ def fix_directions(circuit: Circuit, topology: Topology) -> Circuit:
     gate* implementation, not of the unitary — so this pass is only applied
     to the circuit whose per-gate latency forms the gate-based baseline.
     """
-    topo = (
-        topology
-        if isinstance(topology, CachedTopology)
-        else CachedTopology(topology)
-    )
     out = Circuit(circuit.n_qubits, name=circuit.name)
     for g in circuit:
-        if g.name == "cx" and not topo.allowed_direction(*g.qubits):
-            out.extend(_cx_with_direction(g.qubits[0], g.qubits[1], topo))
+        if g.name == "cx" and not topology.allowed_direction(*g.qubits):
+            out.extend(_cx_with_direction(g.qubits[0], g.qubits[1], topology))
         else:
             out.append(g)
     return out

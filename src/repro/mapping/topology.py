@@ -4,14 +4,19 @@ The paper maps everything onto the 14-qubit IBM Q Melbourne chip (Fig 10),
 whose two-qubit gates are directed (CNOT allowed one way per edge). We encode
 the published coupling map, plus a 16-qubit extension of the same ladder shape
 for the one benchmark (qft_16) that needs more than 14 qubits.
+
+A :class:`Topology` is the one device type: it builds its lookup tables
+(adjacency, all-pairs hop distances, directed-edge set) once per instance,
+on first use, so the mapper's inner loops only index into them. Neighbour
+lists are in ascending qubit order, so a walk that takes the first closest
+neighbour breaks ties toward the lowest index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Tuple
 
 
 @dataclass(frozen=True)
@@ -34,59 +39,42 @@ class Topology:
             if a == b:
                 raise ValueError(f"self-loop on qubit {a}")
 
-    # Cached derived structures (frozen dataclass, so compute lazily).
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_qubits))
-        g.add_edges_from(self.edges)
-        return g
+    @cached_property
+    def directed_edges(self) -> FrozenSet[Tuple[int, int]]:
+        return frozenset(self.edges)
 
-    def undirected_edges(self) -> FrozenSet[FrozenSet[int]]:
-        return frozenset(frozenset(e) for e in self.edges)
+    @cached_property
+    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        """``adjacency[q]``: the neighbours of ``q``, ascending."""
+        neighbours = [set() for _ in range(self.n_qubits)]
+        for a, b in self.edges:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        return tuple(tuple(sorted(n)) for n in neighbours)
+
+    @cached_property
+    def dist(self) -> Tuple[Dict[int, int], ...]:
+        """``dist[a][b]``: hop distance, by one BFS per source qubit.
+
+        Qubits unreachable from ``a`` are absent from ``dist[a]``.
+        """
+        table = []
+        for source in range(self.n_qubits):
+            hops = {source: 0}
+            frontier = [source]
+            for q in frontier:  # grows while iterated: BFS order
+                for r in self.adjacency[q]:
+                    if r not in hops:
+                        hops[r] = hops[q] + 1
+                        frontier.append(r)
+            table.append(hops)
+        return tuple(table)
 
     def are_adjacent(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self.undirected_edges()
+        return b in self.adjacency[a]
 
     def allowed_direction(self, control: int, target: int) -> bool:
         """True when a native CNOT control->target exists."""
-        return (control, target) in set(self.edges)
-
-    def distances(self) -> Dict[int, Dict[int, int]]:
-        """All-pairs shortest-path distances on the undirected skeleton."""
-        return {
-            src: dict(lengths)
-            for src, lengths in nx.all_pairs_shortest_path_length(self.graph())
-        }
-
-    def neighbors(self, q: int) -> List[int]:
-        return sorted(self.graph().neighbors(q))
-
-
-class CachedTopology:
-    """Topology wrapper that precomputes adjacency and distance tables.
-
-    The A* mapper queries distances in its inner loop; the frozen dataclass
-    recomputing BFS per call would dominate runtime.
-    """
-
-    def __init__(self, topology: Topology):
-        self.topology = topology
-        self.name = topology.name
-        self.n_qubits = topology.n_qubits
-        self.directed_edges = set(topology.edges)
-        self.edge_set = {frozenset(e) for e in topology.edges}
-        self.dist = topology.distances()
-        self.adjacency: Dict[int, List[int]] = {
-            q: topology.neighbors(q) for q in range(topology.n_qubits)
-        }
-        self.undirected_edge_list: List[Tuple[int, int]] = sorted(
-            tuple(sorted(e)) for e in self.edge_set
-        )
-
-    def are_adjacent(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self.edge_set
-
-    def allowed_direction(self, control: int, target: int) -> bool:
         return (control, target) in self.directed_edges
 
     def distance(self, a: int, b: int) -> int:

@@ -21,12 +21,10 @@ interface (see repro.core.pipeline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.dag import CircuitDAG
-from repro.circuits.circuit import Circuit
 from repro.grouping.group import GateGroup
 from repro.qoc.weyl import interaction_content, rotation_angle
 from repro.utils.config import PhysicsConfig

@@ -62,7 +62,7 @@ import threading
 from typing import IO, List, Optional, Sequence
 
 from repro.circuits.circuit import Circuit
-from repro.service.protocol import ProtocolError, resolve_program
+from repro.service.protocol import ProtocolError, placeable, resolve_program
 from repro.service.service import BatchReport, CompileService
 from repro.service.sharding import open_store, reshard
 from repro.service.store import StoreVersionError
@@ -689,7 +689,10 @@ def cmd_dashboard(argv: Sequence[str]) -> int:
 
 # ------------------------------------------------------------------- batch
 def collect_programs(specs: Sequence[str]) -> List[Circuit]:
-    """Named workloads, ``.qasm`` files, or directories of ``.qasm`` files."""
+    """Named workloads, ``.qasm`` files, or directories of ``.qasm`` files.
+
+    Raises ProtocolError for a program no registered device can hold.
+    """
     from repro.circuits.qasm import parse_qasm
 
     programs: List[Circuit] = []
@@ -716,7 +719,7 @@ def collect_programs(specs: Sequence[str]) -> List[Circuit]:
                 )
         else:
             programs.append(resolve_program(spec))
-    return programs
+    return [placeable(p) for p in programs]
 
 
 def batch_summary(batch: BatchReport) -> dict:

@@ -32,7 +32,8 @@ hinted seconds and resubmit.
 Program names resolve against the named benchmark suite plus the ``qft_<n>``
 family (n bounded to 1..64 — an unbounded size would let one request line
 stall the server in circuit construction); everything else must ship QASM
-inline.
+inline. A program no registered device can hold is refused at intake
+(:func:`placeable`), so it never reaches, and fails, a shared batch.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Dict, Optional
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.qasm import parse_qasm
+from repro.mapping.topology import topology_for
 from repro.workloads.qft import qft
 from repro.workloads.revlib_like import NAMED_BENCHMARKS, build_named
 
@@ -123,10 +125,21 @@ def assign_request_id(request: CompileRequest, n: int) -> CompileRequest:
     return request
 
 
+def placeable(circuit: Circuit) -> Circuit:
+    """``circuit``, if some registered device can hold it; else ProtocolError."""
+    try:
+        topology_for(circuit.n_qubits)
+    except ValueError as exc:
+        raise ProtocolError(f"{circuit.name or 'program'}: {exc}") from exc
+    return circuit
+
+
 def request_circuit(request: CompileRequest) -> Circuit:
     if request.qasm is not None:
-        return parse_qasm(request.qasm, name=request.name or request.id or "qasm")
-    return resolve_program(request.name)
+        circuit = parse_qasm(request.qasm, name=request.name or request.id or "qasm")
+    else:
+        circuit = resolve_program(request.name)
+    return placeable(circuit)
 
 
 def response_for(request: CompileRequest, report, batch) -> Dict:

@@ -77,7 +77,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 T = TypeVar("T")
 
 from repro.core.cache import (
-    CoverageReport,
     LibraryEntry,
     PulseLibrary,
 )
@@ -259,28 +258,6 @@ def parse_remote_spec(spec: str) -> Tuple[str, int]:
             f"bad remote spec {spec!r}; expected remote://host:port"
         )
     return host, int(port)
-
-
-def coverage_from_keys(
-    held: "set[bytes]", groups: Sequence[GateGroup]
-) -> CoverageReport:
-    """Coverage resolved client-side from one ``keys`` round trip (the
-    canonical key already folds wire permutation, same as local). Shared
-    by the wire-backed stores, where a per-group peek would be a
-    serialized RTT per group."""
-    covered = 0
-    uncovered: Dict[bytes, GateGroup] = {}
-    for group in groups:
-        key = group.key()
-        if key in held:
-            covered += 1
-        else:
-            uncovered.setdefault(key, group)
-    return CoverageReport(
-        n_groups=len(groups),
-        n_covered=covered,
-        uncovered_unique=list(uncovered.values()),
-    )
 
 
 def split_replicas(spec: str) -> List[str]:
@@ -600,10 +577,6 @@ class RemoteStore(StoreBackend):
             self.send_flush()
         except RemoteUnavailable:
             self._degrade()
-
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport:
-        """One ``keys`` round trip, membership client-side."""
-        return coverage_from_keys(set(self.keys()), groups)
 
     def claim_fingerprint(self, fingerprint: str) -> None:
         """Server-side guard: mismatch raises loudly; an unreachable

@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
-from repro.core.cache import CoverageReport, LibraryEntry, PulseLibrary
+from repro.core.cache import LibraryEntry, PulseLibrary
 from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.remote import (
@@ -67,7 +67,6 @@ from repro.service.remote import (
     RemoteStore,
     RemoteUnavailable,
     RetryPolicy,
-    coverage_from_keys,
     parse_route,
     retry_from_params,
     revalidate_via_snapshot,
@@ -277,10 +276,6 @@ class ReplicatedStore(StoreBackend):
         except RemoteUnavailable:
             self._degrade()
             return None
-
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport:
-        """One ``keys`` round trip (failover), membership client-side."""
-        return coverage_from_keys(set(self.keys()), groups)
 
     def fingerprints(self) -> List[str]:
         """Union of every *reachable* replica's engine stamps — unlike

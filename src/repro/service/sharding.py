@@ -63,7 +63,7 @@ import os
 import shutil
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.cache import CoverageReport, LibraryEntry, PulseLibrary
+from repro.core.cache import LibraryEntry, PulseLibrary
 from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.store import (
@@ -376,32 +376,6 @@ class ShardedStore(StoreBackend):
     def flush(self) -> None:
         for shard in self.shards:
             shard.flush()
-
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport:
-        if self.routes is not None:
-            # One keys() round trip per host, membership client-side —
-            # a per-group peek would be a serialized RTT per group.
-            held: set = set()
-            for shard in self.shards:
-                held.update(shard.keys())
-            membership = held.__contains__
-        else:
-            membership = lambda key: (  # noqa: E731 — local peek is O(1)
-                self.shard_for_key(key).peek_key(key) is not None
-            )
-        covered = 0
-        uncovered: Dict[bytes, GateGroup] = {}
-        for group in groups:
-            key = group.key()
-            if membership(key):
-                covered += 1
-            else:
-                uncovered.setdefault(key, group)
-        return CoverageReport(
-            n_groups=len(groups),
-            n_covered=covered,
-            uncovered_unique=list(uncovered.values()),
-        )
 
     def claim_fingerprint(self, fingerprint: str) -> None:
         for shard in self.shards:

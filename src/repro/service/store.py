@@ -59,7 +59,6 @@ except ImportError:  # non-POSIX: degrade to best-effort single-writer
     fcntl = None
 
 from repro.core.cache import (
-    CoverageReport,
     LibraryEntry,
     PulseLibrary,
     entry_from_dict,
@@ -239,9 +238,6 @@ class StoreBackend(abc.ABC):
 
     @abc.abstractmethod
     def flush(self) -> None: ...
-
-    @abc.abstractmethod
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport: ...
 
     @abc.abstractmethod
     def claim_fingerprint(self, fingerprint: str) -> None: ...
@@ -584,11 +580,6 @@ class PulseStore(StoreBackend):
                         break  # everything left is in-flight; stay over bound
             if flush:
                 self.flush()
-
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport:
-        """Library coverage (no hit/miss accounting: this is planning)."""
-        with self._lock:
-            return self._library.coverage(groups)
 
     def revalidate(self, engine, budget: int) -> Dict[str, int]:
         """Retrain non-converged entries until ``budget`` iterations are spent.

@@ -9,12 +9,12 @@ from repro.mapping.crosstalk import (
     layer_crosstalk,
     pairs_too_close,
 )
-from repro.mapping.topology import CachedTopology, line, melbourne
+from repro.mapping.topology import line, melbourne
 
 
 @pytest.fixture
 def mel():
-    return CachedTopology(melbourne())
+    return melbourne()
 
 
 def test_adjacent_pairs_are_close(mel):
@@ -63,7 +63,7 @@ def test_single_qubit_gates_do_not_contribute():
 
 
 def test_line_topology_distance_threshold():
-    topo = CachedTopology(line(8))
+    topo = line(8)
     assert pairs_too_close((0, 1), (2, 3), topo)
     assert not pairs_too_close((0, 1), (3, 4), topo)
     assert not pairs_too_close((0, 1), (4, 5), topo, close_distance=1)

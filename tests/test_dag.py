@@ -8,13 +8,13 @@ from repro.circuits import Circuit, CircuitDAG, critical_path_length
 
 def test_edges_follow_qubit_dependencies(bell_circuit):
     dag = CircuitDAG(bell_circuit)
-    assert list(dag.graph.edges) == [(0, 1)]
+    assert dag.edges() == [(0, 1)]
 
 
 def test_no_edge_between_independent_gates():
     c = Circuit(4).add("h", 0).add("h", 1).add("cx", 2, 3)
     dag = CircuitDAG(c)
-    assert dag.graph.number_of_edges() == 0
+    assert len(dag.edges()) == 0
 
 
 def test_depth_labels():
@@ -43,7 +43,7 @@ def test_topological_order_respects_edges(random_circuit_factory):
     c = random_circuit_factory(5, 40, "dagtopo")
     dag = CircuitDAG(c)
     position = {n: i for i, n in enumerate(dag.topological_order())}
-    for u, v in dag.graph.edges:
+    for u, v in dag.edges():
         assert position[u] < position[v]
 
 

@@ -26,7 +26,7 @@ def _group_graph(circuit, node_sets):
     dag = CircuitDAG(circuit)
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(node_sets)))
-    for u, v in dag.graph.edges:
+    for u, v in dag.edges():
         if gid_of[u] != gid_of[v]:
             graph.add_edge(gid_of[u], gid_of[v])
     return graph

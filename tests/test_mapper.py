@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.circuits import Circuit
 from repro.mapping.astar import AStarMapper
 from repro.mapping.swaps import decompose_swaps, fix_directions
-from repro.mapping.topology import CachedTopology, line, melbourne
+from repro.mapping.topology import line, melbourne
 
 
 def permute_state(state, layout, n):
@@ -36,23 +36,21 @@ def _random_circuit(n, n_gates, seed):
 
 def test_all_cnots_adjacent_after_mapping():
     topo = line(5)
-    cached = CachedTopology(topo)
     c = _random_circuit(5, 40, 1)
     result = AStarMapper(topo).map_circuit(c)
     for g in decompose_swaps(result.circuit):
         if g.arity == 2:
-            assert cached.are_adjacent(*g.qubits), g
+            assert topo.are_adjacent(*g.qubits), g
 
 
 def test_direction_fix_pass_makes_executable():
     topo = line(5)
-    cached = CachedTopology(topo)
     c = _random_circuit(5, 30, 2)
     result = AStarMapper(topo).map_circuit(c)
     fixed = fix_directions(decompose_swaps(result.circuit, topo), topo)
     for g in fixed:
         if g.name == "cx":
-            assert cached.allowed_direction(*g.qubits), g
+            assert topo.allowed_direction(*g.qubits), g
 
 
 @settings(max_examples=10, deadline=None)
@@ -97,6 +95,31 @@ def test_mapping_melbourne_semantics():
                 target |= 1 << result.final_layout[logical]
         full_expected[target] = amp
     assert np.allclose(got, full_expected, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "options", [{"max_expansions": 1}, {}], ids=["budget1", "default"]
+)
+def test_fallback_routing_keeps_every_cnot_adjacent(options):
+    """When A* gives up on a layer, routing one pair must not pull apart a
+    pair routed before it: every CNOT lands on coupled qubits and the
+    mapped circuit still computes the original one."""
+    n = 14
+    topo = melbourne()
+    c = Circuit(n)
+    for i in range(7):
+        c.add("cx", i, n - 1 - i)
+    result = AStarMapper(topo, **options).map_circuit(c)
+    physical = decompose_swaps(result.circuit, topo)
+    for g in physical:
+        if g.name == "cx":
+            assert topo.are_adjacent(*g.qubits), g
+    rng = np.random.default_rng(14)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi /= np.linalg.norm(psi)
+    expected = permute_state(c.statevector(psi), result.final_layout, n)
+    got = physical.statevector(permute_state(psi, result.initial_layout, n))
+    assert np.allclose(expected, got, atol=1e-8)
 
 
 def test_no_swaps_when_circuit_fits():

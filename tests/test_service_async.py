@@ -187,6 +187,32 @@ def test_oversized_qft_request_rejected_before_any_work(tmp_path):
     _run(main())
 
 
+@pytest.mark.parametrize(
+    "order",
+    [("qft_4", "qft_20"), ("qft_20", "qft_4")],
+    ids=["small_first", "big_first"],
+)
+def test_unplaceable_request_fails_alone(tmp_path, order):
+    """A program no registered device can hold is refused at intake with
+    its own typed error; the request sharing its planning window compiles."""
+
+    async def main():
+        service = _service(tmp_path)
+        server = AsyncCompileServer(service, window_s=0.2)
+        tcp, port = await _start(server)
+        responses = await _client(port, [{"id": n, "name": n} for n in order])
+        tcp.close()
+        await tcp.wait_closed()
+        await server.close()
+        by_id = {r["id"]: r for r in responses}
+        assert by_id["qft_4"]["ok"] and by_id["qft_4"]["program"] == "qft_4"
+        assert by_id["qft_20"]["ok"] is False
+        assert by_id["qft_20"]["error"].startswith("ProtocolError:")
+        assert "20 qubits" in by_id["qft_20"]["error"]
+
+    _run(main())
+
+
 # -------------------------------------------------------------- coalescing
 class GatedModelEngine(ModelEngine):
     """Blocks every solve until the test opens the gate — makes the

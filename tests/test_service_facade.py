@@ -352,6 +352,14 @@ def test_cmd_batch_unknown_program_clean_error(tmp_path, capsys):
     assert "repro batch:" in err and "nosuchprog" in err
 
 
+def test_cmd_batch_unplaceable_program_clean_error(tmp_path, capsys):
+    code = cmd_batch(["qft_4", "qft_20", "--store", str(tmp_path / "store")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("repro batch:") and "20 qubits" in err
+
+
 def test_cmd_batch_table_output(tmp_path, capsys):
     assert (
         cmd_batch(
