@@ -797,12 +797,13 @@ def test_service_worker_scaling_qft16(benchmark, batched_grape_mode):
     planner = CompilePlanner(pipeline)
     empty = PulseLibrary()
     program = build_named("qft_16")
+    whole = planner.plan([program])
 
     walls = {}
     pulses = {}
     plans = {}
     for k in (1, 2, 4, 8):
-        plan = planner.plan([program], empty, k)
+        plan = planner.cut(whole, whole.uncovered, k)
         plans[k] = plan
         executor = WorkerPoolExecutor(engine, backend="process", n_workers=k)
         if k == 4:  # the acceptance point carries the benchmark timing

@@ -24,17 +24,18 @@ def main() -> None:
     program = build_named("qft_16")
     planner = CompilePlanner(acc)
     empty = PulseLibrary()
+    whole = planner.plan([program])
 
     print(f"{'workers':>8} | {'bottleneck':>10} | {'modelled speedup':>16}")
     print("-" * 42)
     for k in (1, 2, 4, 8):
-        plan = planner.plan([program], empty, k)
+        plan = planner.cut(whole, whole.uncovered, k)
         print(
             f"{k:8d} | {plan.bottleneck:10.1f} | "
             f"{plan.modelled_speedup:15.2f}x"
         )
 
-    plan = planner.plan([program], empty, 4)
+    plan = planner.cut(whole, whole.uncovered, 4)
     print(
         f"\nprogram {program.name}: "
         f"{sum(len(groups) for groups in plan.groups_per_program)} groups, "

@@ -66,21 +66,33 @@ Batch planning and execution
 ----------------------------
 :class:`~repro.service.planner.CompilePlanner` dedupes groups across the
 *whole* batch (``grouping.dedup.dedupe_batch``) — a group shared by two
-requests is compiled once — subtracts what the store already covers, builds
-one shared similarity MST over the rest, and cuts it into balanced connected
-parts with ``core.partition.partition_tree`` under the modelled
-iteration-cost weights (``core.partition.modelled_node_weights``, paper
-Sec V-D). :class:`~repro.service.executor.WorkerPoolExecutor` runs the parts
-on a backend.
+requests is compiled once — and splits off the virtual-diagonal groups.
+The service reads each unique key from the store once (see below); over
+the misses, the planner's ``cut`` builds one shared similarity MST and
+cuts it into balanced connected parts with
+``core.partition.partition_tree`` under the modelled iteration-cost
+weights (``core.partition.modelled_node_weights``, paper Sec V-D).
+:class:`~repro.service.executor.WorkerPoolExecutor` runs the parts on a
+backend.
 
 Coalescing semantics
 --------------------
-Concurrent batches may race for the same group. Before solving, a batch
-*claims* each uncovered canonical key in the service's
+Concurrent batches may race for the same group. A batch first *claims*
+each unique canonical key in the service's
 :class:`~repro.service.executor.GroupCoalescer`; exactly one claimant owns
-the solve, everyone else blocks on a future and reuses the owner's record.
-Claims are released (resolved or failed) before the owning batch returns, so
-a key is never compiled twice concurrently and never leaks on error.
+the key, everyone else blocks on a future and reuses the owner's record.
+The owner reads its keys with one ``get_many``: a hit is a covered group
+and resolves at once, and only the misses are solved. Claims are released
+(resolved or failed) before the owning batch returns, so a key is never
+compiled twice concurrently and never leaks on error. Reading each key
+once, at claim time, means:
+
+* a batch that solves nothing makes no snapshot RPC — only the solve step
+  takes the store snapshot its warm starts come from;
+* under concurrency, a key another batch wrote before this batch's read
+  counts as covered, not as compiled or coalesced;
+* on a store bounded below one batch's unique groups, answers match an
+  unbounded store's, but coverage and eviction counts can differ.
 
 Thread vs process backends
 --------------------------
@@ -97,9 +109,10 @@ Both implement one interface (``map_parts``), mirroring the
 * ``serial``: deterministic debugging baseline.
 
 Warm starts default to ``warm="store"``: every group is seeded from the
-store snapshot taken at batch start, which makes pulse content a pure
-function of (group, snapshot, run config) — independent of worker count and
-batch composition, so the content-addressed store stays coherent.
+store snapshot a batch takes before its solves, which makes pulse content
+a pure function of (group, snapshot, run config) — independent of worker
+count and batch composition, so the content-addressed store stays
+coherent.
 ``warm="chain"`` restores the paper's within-part MST chaining for
 experiments (see ``executor``'s module docstring for the tradeoff).
 

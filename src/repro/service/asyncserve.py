@@ -65,6 +65,7 @@ from typing import IO, Deque, Dict, List, Optional
 from repro.circuits.circuit import Circuit
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
     CompileRequest,
     ProtocolError,
     assign_request_id,
@@ -115,6 +116,26 @@ def _salvage_request_id(line: str) -> str:
     if isinstance(raw, dict) and raw.get("id"):
         return str(raw["id"])
     return ""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line (``b""`` at end of stream), or ``None`` for a line
+    over the reader's limit. An over-long line is dropped through its
+    newline — a tail that arrives later included — so the next read
+    starts on the next line."""
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # end of stream: the unterminated rest
+        except asyncio.LimitOverrunError as exc:
+            # Nothing was consumed: drop the buffered part of the line
+            # (up to its newline, when that has arrived) and read on.
+            await reader.readexactly(exc.consumed)
+            overlong = True
+            continue
+        return None if overlong else line
 
 
 @dataclass
@@ -181,15 +202,7 @@ class AsyncCompileServer:
         try:
             request = parse_request(line)
         except ProtocolError as exc:
-            # The error response must stay correlatable for a client
-            # reading out-of-order responses: echo the id the bad line
-            # carried if it was readable at all, else assign a server id
-            # (an empty id would be attributable to no request).
-            request_id = _salvage_request_id(line)
-            if not request_id:
-                self._next_id += 1
-                request_id = f"auto{self._next_id}"
-            await client.send(error_response(request_id, str(exc)))
+            await self._refuse(client, str(exc), line)
             return
         if request.is_command:
             await self._handle_command(request, client)
@@ -242,6 +255,17 @@ class AsyncCompileServer:
         lane.append(pending)
         self._pending_count += 1
         self._have_work.set()
+
+    async def _refuse(self, client: _Client, message: str, line: str = "") -> None:
+        """Answer an unreadable line with an error a client reading
+        out-of-order responses can still correlate: the id the line
+        carried if it was readable at all, else a server-assigned
+        ``auto<n>`` (an empty id would be attributable to no request)."""
+        request_id = _salvage_request_id(line)
+        if not request_id:
+            self._next_id += 1
+            request_id = f"auto{self._next_id}"
+        await client.send(error_response(request_id, message))
 
     def stats_payload(self) -> dict:
         """The server-side counter snapshot: the ``stats`` command's body
@@ -442,7 +466,12 @@ class AsyncCompileServer:
         client = _Client(writer)
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    await self._refuse(
+                        client, f"request line over {MAX_LINE_BYTES} bytes"
+                    )
+                    continue
                 if not line:
                     break
                 await self.handle_line(line.decode(errors="replace"), client)
@@ -459,7 +488,9 @@ class AsyncCompileServer:
 
     async def start_tcp(self, host: str, port: int) -> asyncio.AbstractServer:
         self._ensure_batcher()
-        return await asyncio.start_server(self.handle_connection, host, port)
+        return await asyncio.start_server(
+            self.handle_connection, host, port, limit=MAX_LINE_BYTES
+        )
 
     async def serve_stdio(
         self,

@@ -24,13 +24,14 @@ rules). The serial loop remains the default and the bit-identity oracle.
 Warm-start modes
 ----------------
 ``warm="store"`` (service default): every group is seeded from the *store
-snapshot taken at batch start* — the most similar persisted pulse below the
-similarity threshold, else a deterministic cold start keyed by the group's
-canonical key. Pulse content is then a pure function of (group, snapshot,
-run config): independent of the partition, the worker count, and the rest of
-the batch. That invariant is what keeps a content-addressed store coherent —
-the same key stores the same pulse no matter which batch compiled it first —
-and it is what the throughput bench's bit-identity assertion checks.
+snapshot* the batch takes just before its solves — the most similar
+persisted pulse below the similarity threshold, else a deterministic cold
+start keyed by the group's canonical key. Pulse content is then a pure
+function of (group, snapshot, run config): independent of the partition,
+the worker count, and the rest of the batch. That invariant is what keeps
+a content-addressed store coherent — the same key stores the same pulse no
+matter which batch compiled it first — and it is what the throughput
+bench's bit-identity assertion checks.
 
 ``warm="chain"`` (paper Sec V-D semantics): within a part, each group warm
 starts from its MST parent's freshly compiled pulse; a cut edge is a "soft
@@ -364,10 +365,10 @@ class WorkerPoolExecutor:
         snapshot: PulseLibrary,
         wanted: Sequence[int],
     ) -> List[CompileRecord]:
-        """Compile only ``wanted`` vertices (others coalesced elsewhere).
+        """Compile only the ``wanted`` vertices.
 
         Returns a dense list aligned with ``plan.uncovered``; vertices not in
-        ``wanted`` get ``None`` slots the caller fills from coalesced futures.
+        ``wanted`` get ``None`` slots.
 
         ``snapshot`` is the frozen warm-seed source: a
         :class:`~repro.core.cache.PulseLibrary`, or any store backend with
@@ -514,9 +515,8 @@ class GroupCoalescer:
     def in_flight_keys(self) -> "set[bytes]":
         """Keys currently claimed — the store's eviction no-touch list.
 
-        A claimed key is either being solved (its warm-start seed must
-        stay resident) or was just salvaged from the live store (waiters
-        will read it back); evicting it mid-batch would break both.
+        A claimed key is being read or solved by its batch; the entry a
+        solve writes stays resident at least until its claim resolves.
         """
         with self._lock:
             return set(self._in_flight)

@@ -1,23 +1,24 @@
 """Batch compile planner: cross-request dedup, shared MST, worker cuts.
 
-One plan covers a whole batch of circuits: every program is run through the
-shared front end, groups are de-duplicated *across* the batch
-(:func:`repro.grouping.dedup.dedupe_batch`), the store decides what is
-already covered, and the remaining unique groups get one shared similarity
-MST whose Prim sequence is cut into balanced connected parts — one per
-worker — by :func:`repro.core.partition.partition_tree` under the modelled
-iteration-cost node weights (paper Sec V-D). Virtual-diagonal groups (pure
-frame changes, zero-latency by convention) never reach a worker; they are
-listed separately and priced at zero.
+Planning is two steps, and neither reads the store. :meth:`CompilePlanner.
+plan` runs every program of a batch through the shared front end,
+de-duplicates groups *across* the batch
+(:func:`repro.grouping.dedup.dedupe_batch`) and splits off the
+virtual-diagonal groups (pure frame changes, zero-latency by convention),
+which never reach a worker. The caller then looks the unique groups up in
+its store; :meth:`CompilePlanner.cut` takes the ones that missed, builds
+one shared similarity MST over them and cuts its Prim sequence into
+balanced connected parts — one per worker — with
+:func:`repro.core.partition.partition_tree` under the modelled
+iteration-cost node weights (paper Sec V-D).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence
 
 from repro.circuits.circuit import Circuit
-from repro.core.cache import PulseLibrary
 from repro.core.partition import (
     TreePartition,
     modelled_node_weights,
@@ -45,15 +46,20 @@ class WorkerPlan:
 
 @dataclass
 class BatchPlan:
-    """Everything the executor and the latency assembly need for one batch."""
+    """Everything the executor and the latency assembly need for one batch.
+
+    From :meth:`CompilePlanner.plan`, ``uncovered`` lists every unique
+    non-virtual group and the MST fields are empty; from
+    :meth:`CompilePlanner.cut`, ``uncovered`` is the subset to solve and
+    the MST fields cover exactly it.
+    """
 
     circuits: List[Circuit]
     fronts: List  # FrontEndResult per program
     groups_per_program: List[List[GateGroup]]
     batch: BatchDedup
-    covered_keys: Set[bytes]  # already in the store at planning time
-    uncovered: List[GateGroup]  # unique, not covered, needs a solve
-    trivial: List[GateGroup]  # unique, not covered, virtual-diagonal
+    uncovered: List[GateGroup]  # unique, non-virtual, not known to be stored
+    trivial: List[GateGroup]  # unique, virtual-diagonal
     sequence: CompileSequence  # shared MST over `uncovered`
     weights: Dict[int, float]  # modelled iterations per MST vertex
     partition: TreePartition
@@ -100,7 +106,7 @@ class BatchPlan:
 
 
 class CompilePlanner:
-    """Plans a batch against a pipeline front end and a pulse library.
+    """Plans a batch on a pipeline front end, then cuts its misses' MST.
 
     ``pipeline`` is duck-typed: it provides ``groups_of(circuit)`` (the
     :class:`repro.core.pipeline.AccQOC` front end) and an ``engine`` whose
@@ -126,14 +132,8 @@ class CompilePlanner:
             class_aware = bool(getattr(run, "class_partition", False))
         self.class_aware = bool(class_aware)
 
-    def plan(
-        self,
-        circuits: Sequence[Circuit],
-        library: PulseLibrary,
-        n_workers: int,
-    ) -> BatchPlan:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+    def plan(self, circuits: Sequence[Circuit]) -> BatchPlan:
+        """Front end, batch-wide dedup and the trivial split; no MST yet."""
         circuits = list(circuits)
         fronts = []
         groups_per_program: List[List[GateGroup]] = []
@@ -144,48 +144,34 @@ class CompilePlanner:
                 groups_per_program.append(groups)
         with self.perf.stage("plan.dedup"):
             batch = dedupe_batch(groups_per_program)
-        with self.perf.stage("plan.coverage"):
-            covered_keys = {
-                g.key() for g in batch.merged.unique if g in library
-            }
-            uncovered_all = [
-                g for g in batch.merged.unique if g.key() not in covered_keys
-            ]
-        trivial = [
-            g
-            for g in uncovered_all
-            if LatencyEstimator.is_virtual_diagonal(g.matrix())
-        ]
-        uncovered = [
-            g
-            for g in uncovered_all
-            if not LatencyEstimator.is_virtual_diagonal(g.matrix())
-        ]
-        sequence, weights, partition = self._cut(uncovered, n_workers)
-        worker_plans = [
-            WorkerPlan(worker=w, indices=list(part), weight=weight)
-            for w, (part, weight) in enumerate(
-                zip(partition.parts, partition.part_weights)
-            )
-        ]
+        trivial: List[GateGroup] = []
+        uncovered: List[GateGroup] = []
+        for group in batch.merged.unique:
+            virtual = LatencyEstimator.is_virtual_diagonal(group.matrix())
+            (trivial if virtual else uncovered).append(group)
         self.perf.count("plan.programs", len(circuits))
         self.perf.count("plan.unique", batch.merged.n_unique)
-        self.perf.count("plan.uncovered", len(uncovered))
         self.perf.count("plan.shared", batch.n_shared)
         return BatchPlan(
             circuits=circuits,
             fronts=fronts,
             groups_per_program=groups_per_program,
             batch=batch,
-            covered_keys=covered_keys,
             uncovered=uncovered,
             trivial=trivial,
-            sequence=sequence,
-            weights=weights,
-            partition=partition,
-            worker_plans=worker_plans,
-            n_workers=n_workers,
+            **self._cut([], 1),
         )
+
+    def cut(
+        self, plan: BatchPlan, groups: Sequence[GateGroup], n_workers: int
+    ) -> BatchPlan:
+        """``plan`` narrowed to ``groups`` (the ones to solve), with their
+        shared similarity MST cut into balanced parts for ``n_workers``."""
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        groups = list(groups)
+        self.perf.count("plan.uncovered", len(groups))
+        return replace(plan, uncovered=groups, **self._cut(groups, n_workers))
 
     # ----------------------------------------------------------------- impl
     def _iteration_model(self):
@@ -196,16 +182,23 @@ class CompilePlanner:
 
         return IterationModel()
 
-    def _cut(self, uncovered: Sequence[GateGroup], n_workers: int):
+    def _cut(self, uncovered: List[GateGroup], n_workers: int) -> Dict:
+        """The MST fields of a :class:`BatchPlan` over ``uncovered``."""
         if not uncovered:
             empty = CompileSequence(order=[], parent={}, parent_weight={}, total_weight=0.0)
-            return empty, {}, TreePartition(parts=[], part_weights=[], bottleneck=0.0)
+            return dict(
+                sequence=empty,
+                weights={},
+                partition=TreePartition(parts=[], part_weights=[], bottleneck=0.0),
+                worker_plans=[],
+                n_workers=n_workers,
+            )
         with self.perf.stage("plan.simgraph"):
-            graph = build_similarity_graph(list(uncovered), self.similarity)
+            graph = build_similarity_graph(uncovered, self.similarity)
             sequence = prim_compile_sequence(graph)
         with self.perf.stage("plan.partition"):
             weights = modelled_node_weights(
-                sequence, list(uncovered), self._iteration_model()
+                sequence, uncovered, self._iteration_model()
             )
             class_of = None
             solve_class = getattr(self.pipeline.engine, "solve_class", None)
@@ -219,4 +212,16 @@ class CompilePlanner:
             partition = partition_tree(
                 sequence, weights, n_workers, class_of=class_of
             )
-        return sequence, weights, partition
+        worker_plans = [
+            WorkerPlan(worker=w, indices=list(part), weight=weight)
+            for w, (part, weight) in enumerate(
+                zip(partition.parts, partition.part_weights)
+            )
+        ]
+        return dict(
+            sequence=sequence,
+            weights=weights,
+            partition=partition,
+            worker_plans=worker_plans,
+            n_workers=n_workers,
+        )

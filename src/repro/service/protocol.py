@@ -20,6 +20,10 @@ request. A request that arrives without an id is assigned one
 (``auto<n>``, per-server counter, echoed back) via
 :func:`assign_request_id`. A line that fails to parse is answered with the
 id it carried when that much was readable, else with an assigned one.
+Over TCP a request line may hold at most :data:`MAX_LINE_BYTES` (64 KiB,
+asyncio's default stream limit) before its newline; a longer line gets one
+error with an assigned id, is dropped whole, and the connection keeps
+serving.
 Compile responses additionally carry ``"batch"``, the server-side batch
 sequence number the request was planned in.
 
@@ -69,6 +73,9 @@ class CompileRequest:
     def is_command(self) -> bool:
         return self.cmd is not None
 
+
+#: Longest TCP request line, in bytes: asyncio's default stream limit.
+MAX_LINE_BYTES = 2 ** 16
 
 #: Largest ``qft_<n>`` a request line may name. Circuit construction cost
 #: grows superlinearly in n, so an unchecked size is a one-line denial of

@@ -596,12 +596,6 @@ class RemoteStore(StoreBackend):
     def add_eviction_guard(self, guard) -> None:
         """No-op: eviction is the server's policy (see class docstring)."""
 
-    def revalidate(self, engine, budget: int) -> Dict[str, int]:
-        """Hygiene pass with the compute on this side of the wire: pull the
-        snapshot, retrain non-converged entries locally (same warm start
-        and seed tag as the server-side pass), push the results back."""
-        return revalidate_via_snapshot(self, engine, budget)
-
     def fingerprints(self) -> List[str]:
         """The server store's engine stamps (empty when unreachable)."""
         stats = self.server_stats()
@@ -620,59 +614,6 @@ class RemoteStore(StoreBackend):
             return None
         response.pop("ok")
         return response
-
-
-def revalidate_via_snapshot(store, engine, budget: int) -> Dict[str, int]:
-    """Client-side retrain of a wire-backed store's non-converged entries.
-
-    Pulls ``store.snapshot()``, retrains locally with the same warm start
-    and seed tag as the server-side pass, and pushes every result back in
-    one ``put_many`` frame — not a retrain loop's worth of per-key round
-    trips. Shared by :class:`RemoteStore` and
-    :class:`~repro.service.replication.ReplicatedStore` (where the
-    snapshot is a failover read and the push-back fans out to every live
-    replica).
-    """
-    from repro.core.engines import compile_with_engine
-    from repro.service.executor import seed_tag_for
-
-    candidates = sorted(
-        (e for e in store.snapshot().entries() if not e.converged),
-        key=lambda e: key_digest(e.group.key()),
-    )
-    spent = retrained = converged = 0
-    updated: List[LibraryEntry] = []
-    for entry in candidates:
-        if spent >= budget:
-            break
-        record = compile_with_engine(
-            engine,
-            entry.group,
-            warm_pulse=entry.pulse,
-            warm_source=entry.group,
-            seed_tag=seed_tag_for(entry.group),
-        )
-        spent += record.iterations
-        retrained += 1
-        if record.converged:
-            converged += 1
-        updated.append(
-            LibraryEntry(
-                group=entry.group,
-                pulse=record.pulse,
-                latency=record.latency,
-                iterations=entry.iterations + record.iterations,
-                converged=record.converged,
-            )
-        )
-    if updated:
-        store.put_many(updated)
-    return {
-        "retrained": retrained,
-        "converged": converged,
-        "iterations": spent,
-        "remaining": len(candidates) - retrained,
-    }
 
 
 # ---------------------------------------------------------------- executor

@@ -69,7 +69,6 @@ from repro.service.remote import (
     RetryPolicy,
     parse_route,
     retry_from_params,
-    revalidate_via_snapshot,
     split_replicas,
 )
 from repro.service.store import REPLICATED_STATS, StoreBackend, StoreStats
@@ -377,9 +376,6 @@ class ReplicatedStore(StoreBackend):
 
     def add_eviction_guard(self, guard) -> None:
         """No-op: eviction is each store server's policy."""
-
-    def revalidate(self, engine, budget: int) -> Dict[str, int]:
-        return revalidate_via_snapshot(self, engine, budget)
 
     # --------------------------------------------------------------- repair
     def repair(self) -> Dict:

@@ -13,8 +13,9 @@ once), and a :class:`StoreBackend` — a local :class:`PulseStore`, a
 persisted before the batch returns, so the next request — or the next
 process, or the next host — starts warm.
 
-One ``submit_batch`` call is the unit of work: plan, claim keys, solve the
-owned ones on the pool, persist, price every program with
+One ``submit_batch`` call is the unit of work: plan, claim and read each
+unique key once, solve the misses on the pool, persist, price every
+program with
 :func:`repro.core.pipeline.program_latencies`, and return a
 :class:`BatchReport` whose ``perf`` carries the full stage breakdown
 (planning, per-worker solve time, store I/O) in ``repro perf`` format.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.core.cache import LibraryEntry
@@ -50,7 +51,7 @@ class RequestReport:
     name: str
     n_groups: int
     n_unique: int
-    coverage_rate: float  # store coverage at batch start
+    coverage_rate: float  # share of its groups the claim read found stored
     overall_latency: float  # ns, Algorithm 3 over the group DAG
     gate_based_latency: float  # ns, gate-by-gate baseline
     compile_iterations: int  # iterations charged to this request's groups
@@ -88,13 +89,22 @@ class BatchReport:
 
 def _record_from_entry(entry: LibraryEntry) -> CompileRecord:
     """A stored entry replayed as the record its solve produced — what a
-    salvaged claim hands to every batch waiting on the key."""
+    covered claim hands to every batch waiting on the key."""
     return CompileRecord(
         latency=entry.latency,
         iterations=entry.iterations,
         converged=entry.converged,
         pulse=entry.pulse,
     )
+
+
+class _ClaimPass(NamedTuple):
+    """What one :meth:`CompileService._claim_and_solve` pass resolved."""
+
+    records: List[CompileRecord]  # aligned with the pass's groups
+    covered: Set[bytes]  # keys the claim read found in the store
+    n_solved: int  # misses solved by this batch
+    n_coalesced: int  # served by another in-flight batch
 
 
 def engine_fingerprint(engine) -> str:
@@ -143,8 +153,8 @@ class CompileService:
         self.backend = backend
         self.warm = warm
         self.coalescer = GroupCoalescer()
-        # A bounded store must not LRU-evict a key some in-flight solve
-        # claimed: the waiter would lose its warm seed / salvaged entry.
+        # A bounded store must not LRU-evict a key some in-flight batch
+        # claimed: what a batch writes stays resident until it resolves.
         # Guards compose, so services sharing a store all stay protected.
         self.store.add_eviction_guard(self.coalescer.in_flight_keys)
         self.n_batches = 0
@@ -158,25 +168,30 @@ class CompileService:
     def submit_batch(self, circuits: Sequence[Circuit]) -> BatchReport:
         start = time.monotonic()
         perf = PerfRecorder()
-        snapshot = self.store.snapshot()
         planner = CompilePlanner(
             self.pipeline, similarity=self.config.similarity, perf=perf
         )
         with perf.stage("service.plan"):
-            plan = planner.plan(circuits, snapshot, self.n_workers)
+            plan = planner.plan(circuits)
 
-        records, trivial_records, outcome = self._execute(plan, snapshot, perf)
+        pool, trivial, cut = self._execute(plan, planner, perf)
 
         with perf.stage("service.latency"):
-            latencies = self._latency_table(
-                plan, snapshot, records, trivial_records
-            )
-            iteration_of = {
-                plan.uncovered[i].key(): r.iterations
-                for i, r in enumerate(records)
+            latencies = {
+                group.key(): record.latency
+                for group, record in zip(
+                    plan.uncovered + plan.trivial,
+                    pool.records + trivial.records,
+                )
             }
+            iteration_of = {
+                group.key(): record.iterations
+                for group, record in zip(plan.uncovered, pool.records)
+                if group.key() not in pool.covered
+            }
+            covered = pool.covered | trivial.covered
             requests = [
-                self._request_report(plan, p, latencies, iteration_of)
+                self._request_report(plan, p, latencies, iteration_of, covered)
                 for p in range(plan.n_programs)
             ]
         self.n_batches += 1
@@ -184,12 +199,12 @@ class CompileService:
             requests=requests,
             n_unique=plan.batch.merged.n_unique,
             n_shared=plan.batch.n_shared,
-            n_covered=len(plan.covered_keys),
-            n_compiled=outcome["compiled"],
-            n_trivial=len(plan.trivial),
-            n_coalesced=outcome["coalesced"],
-            total_iterations=sum(r.iterations for r in records),
-            modelled_speedup=plan.modelled_speedup,
+            n_covered=len(covered),
+            n_compiled=pool.n_solved,
+            n_trivial=len(plan.trivial) - len(trivial.covered),
+            n_coalesced=pool.n_coalesced,
+            total_iterations=sum(iteration_of.values()),
+            modelled_speedup=cut.modelled_speedup if cut else 1.0,
             wall_time=time.monotonic() - start,
             store_stats=self.store.stats.to_dict(),
             perf=perf.report(f"batch#{self.n_batches}"),
@@ -197,17 +212,20 @@ class CompileService:
 
     # ----------------------------------------------------------------- impl
     def _execute(
-        self, plan: BatchPlan, snapshot, perf: PerfRecorder
-    ) -> Tuple[List[CompileRecord], List[CompileRecord], Dict[str, int]]:
-        """Solve the uncovered groups on the pool, then the trivial ones.
+        self, plan: BatchPlan, planner: CompilePlanner, perf: PerfRecorder
+    ) -> Tuple[_ClaimPass, _ClaimPass, Optional[BatchPlan]]:
+        """Look up and solve the pool's groups, then the trivial ones.
 
         Two passes of :meth:`_claim_and_solve`, then one manifest flush.
         The trivial pass claims its keys only after the pool's solves are
         persisted, so a concurrent batch needing an instant group never
-        waits on this batch's GRAPE solve.
+        waits on this batch's GRAPE solve. Returns both passes and the
+        plan cut over the pool's misses (None when nothing missed).
         """
+        cut: Optional[BatchPlan] = None
 
-        def solve_on_pool(owned: List[int]) -> List[CompileRecord]:
+        def solve_on_pool(groups: List[GateGroup]) -> List[CompileRecord]:
+            nonlocal cut
             # Constructed inside the protected region: an invalid backend or
             # warm spec must fail the claims too, not strand them.
             executor = WorkerPoolExecutor(
@@ -218,84 +236,88 @@ class CompileService:
                 warm=self.warm,
                 perf=perf,
             )
+            with perf.stage("service.plan"):
+                cut = planner.cut(plan, groups, self.n_workers)
+            with perf.stage("service.store"):
+                snapshot = self.store.snapshot()  # the warm-seed source
             with perf.stage("service.execute"):
-                records = executor.run_indices(plan, snapshot, owned)
-            return [records[vertex] for vertex in owned]
+                return executor.run_indices(cut, snapshot, range(len(groups)))
 
-        def solve_trivial(owned: List[int]) -> List[CompileRecord]:
+        def solve_trivial(groups: List[GateGroup]) -> List[CompileRecord]:
             with perf.stage("service.execute"):
                 return [
                     compile_with_engine(
-                        self.engine,
-                        plan.trivial[index],
-                        seed_tag=seed_tag_for(plan.trivial[index]),
+                        self.engine, group, seed_tag=seed_tag_for(group)
                     )
-                    for index in owned
+                    for group in groups
                 ]
 
-        records, n_compiled, n_coalesced = self._claim_and_solve(
-            plan.uncovered, solve_on_pool, perf
-        )
-        trivial_records, _, _ = self._claim_and_solve(
-            plan.trivial, solve_trivial, perf
-        )
+        pool = self._claim_and_solve(plan.uncovered, solve_on_pool, perf)
+        trivial = self._claim_and_solve(plan.trivial, solve_trivial, perf)
         with perf.stage("service.store"):
             self.store.flush()  # one manifest rewrite per batch
-        perf.count("service.coalesced", n_coalesced)
-        return (
-            records,
-            trivial_records,
-            {"compiled": n_compiled, "coalesced": n_coalesced},
-        )
+        perf.count("service.coalesced", pool.n_coalesced)
+        return pool, trivial, cut
 
     def _claim_and_solve(
         self,
         groups: Sequence[GateGroup],
-        solve: Callable[[List[int]], List[CompileRecord]],
+        solve: Callable[[List[GateGroup]], List[CompileRecord]],
         perf: PerfRecorder,
-    ) -> Tuple[List[CompileRecord], int, int]:
-        """Claim → ``get_many`` re-check → solve → ``put_many`` → resolve.
+    ) -> _ClaimPass:
+        """Claim → one ``get_many`` → solve the misses → ``put_many`` → resolve.
 
         Every key is claimed in the coalescer first; a key another batch
-        already claimed is waited on instead. An owned claim can still be
-        *salvaged* from the live store: another batch may have persisted
-        the key between this batch's snapshot and its claim, and without
-        the re-check that window would compile (and pay for) the group
-        twice. The re-check is one ``get_many`` and the write one
-        ``put_many(flush=False)``: one read and one write RPC per remote
-        shard, not one per key. ``solve(owned)`` returns one record per
-        owned index, in order.
+        already claimed is waited on instead. The owned keys are then read
+        from the store exactly once, with one ``get_many``: a hit is a
+        covered group, served by its stored entry, and its claim resolves
+        at once. Only the misses reach ``solve(missing)``, which returns
+        one record per group, in order, and they are written back with
+        one ``put_many(flush=False)`` — one read and one write RPC per
+        remote shard, not one per key.
+
+        What follows from reading each key once, at claim time:
+
+        * the warm-seed snapshot is ``solve``'s to take, so a batch that
+          solves nothing makes no snapshot RPC;
+        * under concurrency, a key another batch wrote before this
+          batch's read counts as covered here;
+        * on a store bounded below one batch's unique groups, answers are
+          unchanged but coverage and eviction counts can differ from an
+          unbounded store (this pass's writes can evict a key the next
+          pass would have found).
 
         Never strands a claim: on any failure every owned key that was not
-        salvaged fails, or each batch waiting on it would deadlock. That
-        is also how a store-layer ``QuorumError`` propagates loudly out of
-        ``submit_batch`` without wedging the batches coalesced onto it.
-
-        Returns the records aligned with ``groups``, the number solved
-        here, and the number served by another in-flight batch.
+        served from the store fails, or each batch waiting on it would
+        deadlock. That is also how a store-layer ``QuorumError``
+        propagates loudly out of ``submit_batch`` without wedging the
+        batches coalesced onto it.
         """
         records: List[Optional[CompileRecord]] = [None] * len(groups)
-        pending: List[int] = []
+        owned: List[int] = []
         waiting: Dict[int, "Future"] = {}
         for index, group in enumerate(groups):
             is_owner, future = self.coalescer.claim(group.key())
             if is_owner:
-                pending.append(index)
+                owned.append(index)
             else:
                 waiting[index] = future
-        owned: List[int] = []
+        covered: Set[bytes] = set()
+        missing: List[int] = []
         solved: List[CompileRecord] = []
         try:
             with perf.stage("service.store"):
-                live = self.store.get_many([groups[i].key() for i in pending])
-            for index, entry in zip(pending, live):
+                stored = self.store.get_many([groups[i].key() for i in owned])
+            for index, entry in zip(owned, stored):
                 if entry is None:
-                    owned.append(index)
+                    missing.append(index)
                     continue
+                key = groups[index].key()
                 records[index] = _record_from_entry(entry)
-                self.coalescer.resolve(groups[index].key(), records[index])
-            if owned:
-                solved = solve(owned)
+                covered.add(key)
+                self.coalescer.resolve(key, records[index])
+            if missing:
+                solved = solve([groups[index] for index in missing])
                 with perf.stage("service.store"):
                     # flush=False: the entry files are durable now; the
                     # manifest rewrite is paid once per batch by _execute.
@@ -308,44 +330,21 @@ class CompileService:
                                 iterations=record.iterations,
                                 converged=record.converged,
                             )
-                            for index, record in zip(owned, solved)
+                            for index, record in zip(missing, solved)
                         ],
                         flush=False,
                     )
         except BaseException as error:
-            for index in pending:
+            for index in owned:
                 if records[index] is None:
                     self.coalescer.fail(groups[index].key(), error)
             raise
-        for index, record in zip(owned, solved):
+        for index, record in zip(missing, solved):
             records[index] = record
             self.coalescer.resolve(groups[index].key(), record)
         for index, future in waiting.items():
             records[index] = future.result()
-        return records, len(owned), len(waiting)
-
-    def _latency_table(
-        self,
-        plan: BatchPlan,
-        snapshot,
-        records: Sequence[CompileRecord],
-        trivial_records: Sequence[CompileRecord],
-    ) -> Dict[bytes, float]:
-        latencies: Dict[bytes, float] = {}
-        # One get_many over every covered key: the warm-path read is a
-        # single round trip per remote shard instead of a hit per key.
-        covered = list(plan.covered_keys)
-        for key, entry in zip(covered, self.store.get_many(covered)):
-            if entry is None:
-                # A bounded store can have LRU-evicted a covered key while
-                # this batch was putting; the planning snapshot still has it.
-                entry = snapshot.lookup_key(key)
-            latencies[key] = entry.latency
-        for group, record in zip(plan.trivial, trivial_records):
-            latencies[group.key()] = record.latency
-        for vertex, group in enumerate(plan.uncovered):
-            latencies[group.key()] = records[vertex].latency
-        return latencies
+        return _ClaimPass(records, covered, len(missing), len(waiting))
 
     def _request_report(
         self,
@@ -353,15 +352,14 @@ class CompileService:
         program: int,
         latencies: Dict[bytes, float],
         iteration_of: Dict[bytes, int],
+        covered: Set[bytes],
     ) -> RequestReport:
         groups = plan.groups_per_program[program]
         dedup = plan.batch.per_program[program]
         overall, gate_based = program_latencies(
             plan.fronts[program], groups, latencies, self.engine
         )
-        covered = sum(
-            1 for g in groups if g.key() in plan.covered_keys
-        )
+        n_covered = sum(1 for g in groups if g.key() in covered)
         # Iterations charged to this request: every uncovered unique group it
         # references (a shared group shows up in each referencing request).
         iterations = sum(
@@ -372,7 +370,7 @@ class CompileService:
             name=circuit.name or "<unnamed>",
             n_groups=len(groups),
             n_unique=dedup.n_unique,
-            coverage_rate=covered / len(groups) if groups else 1.0,
+            coverage_rate=n_covered / len(groups) if groups else 1.0,
             overall_latency=overall,
             gate_based_latency=gate_based,
             compile_iterations=iterations,

@@ -404,22 +404,6 @@ class ShardedStore(StoreBackend):
         for shard in self.shards:
             shard.add_eviction_guard(guard)
 
-    def revalidate(self, engine, budget: int) -> Dict[str, int]:
-        """Hygiene pass over every shard; the budget flows left to right."""
-        summary = {"retrained": 0, "converged": 0, "iterations": 0, "remaining": 0}
-        for shard in self.shards:
-            remaining = budget - summary["iterations"]
-            if remaining <= 0:
-                # Out of budget: still count what this shard has pending.
-                summary["remaining"] += sum(
-                    1 for e in shard.library().entries() if not e.converged
-                )
-                continue
-            part = shard.revalidate(engine, remaining)
-            for name in summary:
-                summary[name] += part[name]
-        return summary
-
 
 # ------------------------------------------------------------------ factory
 def open_store(

@@ -245,9 +245,6 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def add_eviction_guard(self, guard: EvictionGuard) -> None: ...
 
-    @abc.abstractmethod
-    def revalidate(self, engine, budget: int) -> Dict[str, int]: ...
-
     def get(self, group: GateGroup) -> Optional[LibraryEntry]:
         """Entry for ``group`` (hit/miss counted, recency bumped)."""
         return self.get_key(group.key())
@@ -275,6 +272,61 @@ class StoreBackend(abc.ABC):
             self.put(entry, flush=False)
         if flush:
             self.flush()
+
+    def revalidate(self, engine, budget: int) -> Dict[str, int]:
+        """Retrain non-converged entries until ``budget`` iterations are spent.
+
+        The idle-time hygiene pass: entries whose solve never reached the
+        target infidelity are re-run (warm-started from their own stored
+        pulse, same deterministic seed tag as the original service solve)
+        against ``engine`` — typically one configured with a bigger
+        iteration budget than the serving path. Candidates come from one
+        :meth:`snapshot`, in key-digest order (shard by shard, for a
+        sharded store); ``budget`` caps the total iterations spent so the
+        pass fits in an idle window. The retrained entries replace the
+        stored ones in one :meth:`put_many` — one frame per host on the
+        far side of a wire. Returns a summary dict
+        (``retrained``/``converged``/``iterations``/``remaining``).
+        """
+        from repro.core.engines import compile_with_engine
+        from repro.service.executor import seed_tag_for
+
+        candidates = sorted(
+            (e for e in self.snapshot().entries() if not e.converged),
+            key=lambda e: key_digest(e.group.key()),
+        )
+        spent = converged = 0
+        updated: List[LibraryEntry] = []
+        for entry in candidates:
+            if spent >= budget:
+                break
+            record = compile_with_engine(
+                engine,
+                entry.group,
+                warm_pulse=entry.pulse,
+                warm_source=entry.group,
+                seed_tag=seed_tag_for(entry.group),
+            )
+            spent += record.iterations
+            if record.converged:
+                converged += 1
+            updated.append(
+                LibraryEntry(
+                    group=entry.group,
+                    pulse=record.pulse,
+                    latency=record.latency,
+                    iterations=entry.iterations + record.iterations,
+                    converged=record.converged,
+                )
+            )
+        if updated:
+            self.put_many(updated)
+        return {
+            "retrained": len(updated),
+            "converged": converged,
+            "iterations": spent,
+            "remaining": len(candidates) - len(updated),
+        }
 
     def stats_by_shard(self) -> List[Dict[str, float]]:
         """Per-shard stats snapshots; a single directory is one 'shard'."""
@@ -581,60 +633,6 @@ class PulseStore(StoreBackend):
             if flush:
                 self.flush()
 
-    def revalidate(self, engine, budget: int) -> Dict[str, int]:
-        """Retrain non-converged entries until ``budget`` iterations are spent.
-
-        The idle-time hygiene pass: entries whose solve never reached the
-        target infidelity are re-run (warm-started from their own stored
-        pulse, same deterministic seed tag as the original service solve)
-        against ``engine`` — typically one configured with a bigger
-        iteration budget than the serving path. Each retrain replaces the
-        stored entry; ``budget`` caps the total iterations spent so the
-        pass fits in an idle window. Returns a summary dict
-        (``retrained``/``converged``/``iterations``/``remaining``).
-        """
-        from repro.core.engines import compile_with_engine
-        from repro.service.executor import seed_tag_for
-
-        with self._lock:
-            candidates = sorted(
-                (e for e in self._library.entries() if not e.converged),
-                key=lambda e: key_digest(e.group.key()),
-            )
-        spent = retrained = converged = 0
-        for entry in candidates:
-            if spent >= budget:
-                break
-            record = compile_with_engine(
-                engine,
-                entry.group,
-                warm_pulse=entry.pulse,
-                warm_source=entry.group,
-                seed_tag=seed_tag_for(entry.group),
-            )
-            spent += record.iterations
-            retrained += 1
-            if record.converged:
-                converged += 1
-            self.put(
-                LibraryEntry(
-                    group=entry.group,
-                    pulse=record.pulse,
-                    latency=record.latency,
-                    iterations=entry.iterations + record.iterations,
-                    converged=record.converged,
-                ),
-                flush=False,
-            )
-        if retrained:
-            self.flush()
-        return {
-            "retrained": retrained,
-            "converged": converged,
-            "iterations": spent,
-            "remaining": len(candidates) - retrained,
-        }
-
     # ----------------------------------------------------------------- impl
     def _touch(self, key: bytes) -> None:
         self._clock += 1
@@ -644,9 +642,8 @@ class PulseStore(StoreBackend):
         """Evict the coldest unprotected key; False when none is evictable.
 
         Protected means the entry being written *or* any key the eviction
-        guard reports in flight: evicting a claimed key mid-batch would
-        delete the warm-start seed (and the just-salvaged entry) of a solve
-        another batch is still waiting on.
+        guard reports in flight: a batch's own writes must not evict the
+        entries it has just written before its claims resolve.
         """
         protected = {protect}
         alive = []

@@ -273,7 +273,8 @@ def _qft16_records(run):
     config = PipelineConfig(policy_name="map2b4l")
     engine = GrapeEngine(config.physics, run)
     planner = CompilePlanner(AccQOC(config, engine=engine))
-    plan = planner.plan([build_named("qft_16")], PulseLibrary(), 2)
+    plan = planner.plan([build_named("qft_16")])
+    plan = planner.cut(plan, plan.uncovered, 2)
     executor = WorkerPoolExecutor(engine, backend="thread", n_workers=2)
     records = executor.run(plan, PulseLibrary())
     return plan, records

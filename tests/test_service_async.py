@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.engines import ModelEngine
 from repro.service.asyncserve import AsyncCompileServer
-from repro.service.protocol import CompileRequest, assign_request_id
+from repro.service.protocol import MAX_LINE_BYTES, CompileRequest, assign_request_id
 from repro.service.service import CompileService
 from repro.service.sharding import open_store
 from repro.utils.config import PipelineConfig
@@ -152,6 +152,48 @@ def test_invalid_request_with_id_keeps_its_id(tmp_path):
         assert responses[0]["id"] == "kept"
         assert responses[0]["ok"] is False
         assert server._next_id == 0  # no auto id burned on a carried id
+
+    _run(main())
+
+
+@pytest.mark.parametrize("n_gates", [12_000, 150_000])  # ~108 KB, ~1.35 MB
+def test_overlong_line_is_refused_and_the_connection_keeps_serving(
+    tmp_path, n_gates
+):
+    """A request line over the stream limit gets one error with an auto
+    id; the rest of it is dropped — including a tail sent after the
+    server's buffer filled — and the next request on the same connection
+    is answered."""
+
+    async def main():
+        service = _service(tmp_path)
+        server = AsyncCompileServer(service, window_s=0.0)
+        tcp, port = await _start(server)
+        qasm = "OPENQASM 2.0;\nqreg q[4];\n" + "h q[0];\n" * n_gates
+        big = json.dumps({"id": "big", "qasm": qasm}).encode()
+        small = json.dumps({"id": "small", "name": "qft_4"}).encode()
+        assert len(big) > MAX_LINE_BYTES + 4096
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        head = MAX_LINE_BYTES + 4096  # overflows the buffer on its own
+        writer.write(big[:head])
+        await writer.drain()
+        await asyncio.sleep(0.1)
+        writer.write(big[head:] + b"\n" + small + b"\n")
+        await writer.drain()
+        responses = [json.loads(await reader.readline()) for _ in range(2)]
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+        tcp.close()
+        await tcp.wait_closed()
+        await server.close()
+        refused, answered = responses
+        assert refused["id"] == "auto1" and refused["ok"] is False
+        assert str(MAX_LINE_BYTES) in refused["error"]
+        assert answered["id"] == "small" and answered["ok"]
+        assert service.n_batches == 1  # the over-long line never compiled
 
     _run(main())
 

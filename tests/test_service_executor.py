@@ -28,7 +28,8 @@ def pipeline():
 @pytest.fixture(scope="module")
 def plan(pipeline):
     planner = CompilePlanner(pipeline)
-    return planner.plan([build_named("4gt4-v0")], PulseLibrary(), 3)
+    plan = planner.plan([build_named("4gt4-v0")])
+    return planner.cut(plan, plan.uncovered, 3)
 
 
 def _records(pipeline, plan, backend, n_workers=3, warm="store"):
@@ -53,7 +54,8 @@ def test_store_mode_is_worker_count_invariant(pipeline):
     planner = CompilePlanner(pipeline)
     by_workers = {}
     for k in (1, 2, 4):
-        plan_k = planner.plan([build_named("4gt4-v0")], PulseLibrary(), k)
+        plan_k = planner.plan([build_named("4gt4-v0")])
+        plan_k = planner.cut(plan_k, plan_k.uncovered, k)
         records = _records(pipeline, plan_k, "serial", n_workers=k)
         by_workers[k] = {
             plan_k.uncovered[i].key(): (r.latency, r.iterations)
@@ -76,7 +78,8 @@ def test_chain_mode_saves_iterations(pipeline, plan):
 def test_grape_pulses_identical_across_backends(pipeline):
     """Real pulses, not just modelled numbers, are backend-invariant."""
     planner = CompilePlanner(pipeline)
-    plan = planner.plan([build_named("4gt4-v0")], PulseLibrary(), 2)
+    plan = planner.plan([build_named("4gt4-v0")])
+    plan = planner.cut(plan, plan.uncovered, 2)
     config = PipelineConfig()
     engine = GrapeEngine(config.physics, config.run.fast())
     outs = []

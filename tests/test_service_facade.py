@@ -92,6 +92,26 @@ def test_warm_store_zero_grape_solves(tmp_path):
     assert report.n_compiled == 0
 
 
+def test_bounded_store_prices_like_an_unbounded_one(tmp_path):
+    """A store bounded below one batch's unique groups prices every request
+    exactly as an unbounded store does; only coverage and eviction counts
+    may differ."""
+    config = PipelineConfig(policy_name="map2b4l")
+    bounded = CompileService(
+        PulseStore(str(tmp_path / "b"), max_entries=3), config, backend="serial"
+    )
+    unbounded = CompileService(
+        PulseStore(str(tmp_path / "u")), config, backend="serial"
+    )
+    for programs in ([qft(5)], [qft(6), qft(5)], [qft(4), qft(6)]):
+        got = bounded.submit_batch(programs)
+        want = unbounded.submit_batch(programs)
+        for mine, ref in zip(got.requests, want.requests):
+            assert mine.overall_latency == ref.overall_latency
+            assert mine.gate_based_latency == ref.gate_based_latency
+    assert bounded.store.stats.evictions > 0  # the bound really bit
+
+
 def test_cross_program_reuse(tmp_path):
     """A program never seen before is served from pulses of a superset
     program — the store is keyed by group content, not by program."""

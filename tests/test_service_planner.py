@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.cache import LibraryEntry, PulseLibrary
 from repro.core.partition import modelled_node_weights, node_weights_from_sequence
 from repro.core.pipeline import AccQOC
 from repro.core.simgraph import IDENTITY_VERTEX
@@ -21,9 +20,8 @@ def pipeline():
 @pytest.fixture(scope="module")
 def plan_two(pipeline):
     planner = CompilePlanner(pipeline)
-    return planner.plan(
-        [build_named("4gt4-v0"), build_named("ex2")], PulseLibrary(), 2
-    )
+    plan = planner.plan([build_named("4gt4-v0"), build_named("ex2")])
+    return planner.cut(plan, plan.uncovered, 2)
 
 
 def test_dedupe_batch_tracks_sharing(pipeline):
@@ -64,17 +62,11 @@ def test_parts_follow_mst_compile_order(plan_two):
 
 
 def test_library_coverage_shrinks_plan(pipeline, plan_two):
-    library = PulseLibrary()
-    for group in plan_two.uncovered[:5]:
-        library.add(
-            LibraryEntry(group=group, pulse=None, latency=10.0, iterations=1)
-        )
     planner = CompilePlanner(pipeline)
-    replanned = planner.plan(
-        [build_named("4gt4-v0"), build_named("ex2")], library, 2
-    )
-    assert len(replanned.covered_keys) == 5
+    replanned = planner.cut(plan_two, plan_two.uncovered[5:], 2)
     assert len(replanned.uncovered) == len(plan_two.uncovered) - 5
+    seen = sorted(i for p in replanned.worker_plans for i in p.indices)
+    assert seen == list(range(len(replanned.uncovered)))
 
 
 def test_modelled_weights_promoted_from_example(pipeline, plan_two):
@@ -98,7 +90,8 @@ def test_modelled_weights_promoted_from_example(pipeline, plan_two):
 
 def test_partition_balances_modelled_cost(pipeline):
     planner = CompilePlanner(pipeline)
-    plan = planner.plan([build_named("qft_16")], PulseLibrary(), 4)
+    plan = planner.plan([build_named("qft_16")])
+    plan = planner.cut(plan, plan.uncovered, 4)
     assert plan.serial_weight > 0
     assert plan.bottleneck <= plan.serial_weight
     # the min-max cut must beat a trivial all-on-one-worker split
@@ -108,22 +101,16 @@ def test_partition_balances_modelled_cost(pipeline):
 def test_plan_perf_stages_recorded(pipeline):
     perf = PerfRecorder()
     planner = CompilePlanner(pipeline, perf=perf)
-    planner.plan([qft(4)], PulseLibrary(), 2)
+    planner.plan([qft(4)])
     names = set(perf.stages)
-    assert {"plan.front_end", "plan.dedup", "plan.coverage"} <= names
+    assert {"plan.front_end", "plan.dedup"} <= names
     assert perf.counters["plan.programs"] == 1
 
 
 def test_empty_uncovered_plan(pipeline):
     """A fully covered batch yields an empty partition, not a crash."""
     planner = CompilePlanner(pipeline)
-    first = planner.plan([qft(4)], PulseLibrary(), 2)
-    library = PulseLibrary()
-    for group in first.uncovered + first.trivial:
-        library.add(
-            LibraryEntry(group=group, pulse=None, latency=5.0, iterations=1)
-        )
-    covered = planner.plan([qft(4)], library, 2)
+    covered = planner.cut(planner.plan([qft(4)]), [], 2)
     assert covered.uncovered == []
     assert covered.worker_plans == []
     assert covered.modelled_speedup == 1.0

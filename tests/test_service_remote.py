@@ -68,6 +68,40 @@ def _stored_pulses(store):
     }
 
 
+# ------------------------------------------------------------ accounting
+@pytest.mark.parametrize("kind", ["local", "sharded", "remote"])
+def test_each_unique_key_counts_one_hit_or_miss_per_batch(
+    tmp_path, config, kind
+):
+    """The claim read is a batch's only store read: per batch, hits equal
+    the covered groups and misses the solved ones (pool plus trivial),
+    cold and then warm."""
+    server = None
+    if kind == "local":
+        store = PulseStore(str(tmp_path / "s"))
+    elif kind == "sharded":
+        store = open_store(str(tmp_path / "s"), shards=2)
+    else:
+        server, _ = _serve(tmp_path)
+        store = RemoteStore(f"remote://{server.address}")
+    try:
+        service = CompileService(store, config, backend="serial")
+        for warm in (False, True):
+            before = store.stats
+            batch = service.submit_batch([qft(4), qft(5)])
+            after = store.stats
+            assert after.hits - before.hits == batch.n_covered
+            assert (
+                after.misses - before.misses
+                == batch.n_compiled + batch.n_trivial
+            )
+            assert (batch.n_compiled == 0) == warm
+        assert batch.n_covered == batch.n_unique
+    finally:
+        if server is not None:
+            server.stop()
+
+
 # ------------------------------------------------------------ retry policy
 def test_retry_policy_bounds_and_backoff():
     policy = RetryPolicy(attempts=3, base_s=0.1, cap_s=0.3, jitter=False)

@@ -14,6 +14,7 @@ import json
 import os
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -562,7 +563,8 @@ def test_cold_batch_issues_o_shards_read_rpcs(tmp_path, config):
     """ISSUE acceptance: a cold batch against a remote routing table reads
     via get_many frames — O(shards) batched RPCs, zero per-key ``get``
     round trips — asserted on the ``store.shard<i>.ops.*`` counters behind
-    the ``batched_rpc`` perf stage."""
+    the ``batched_rpc`` perf stage. Only a batch with misses pulls the
+    warm-seed snapshot: one ``snapshot`` RPC per shard cold, none warm."""
     servers = [_serve(tmp_path, f"host{i}")[0] for i in range(2)]
     spec = ",".join(f"remote://{s.address}" for s in servers)
     try:
@@ -578,11 +580,12 @@ def test_cold_batch_issues_o_shards_read_rpcs(tmp_path, config):
             # no per-key reads crossed the wire, cold...
             assert counters.get(prefix + "ops.get", 0) == 0
             assert counters.get(prefix + "ops.peek", 0) == 0
-            # ...a handful of batched frames did (claims re-check +
-            # latency table + trivial path — constant per batch, not
-            # proportional to the key count)
+            # ...a handful of batched frames did (one claim read per pass
+            # — constant per batch, not proportional to the key count)
             frames = counters.get(prefix + "ops.get_many", 0)
             assert 1 <= frames <= 4, counters
+            # the solve step pulled the warm-seed snapshot once
+            assert counters.get(prefix + "ops.snapshot", 0) == 1, counters
             # writes are batched too: one put_many frame per pass (solved
             # groups, then trivial ones), never a per-key put
             assert counters.get(prefix + "ops.put", 0) == 0, counters
@@ -602,6 +605,52 @@ def test_cold_batch_issues_o_shards_read_rpcs(tmp_path, config):
             prefix = f"store.shard{shard}."
             assert perf_warm.counters.get(prefix + "ops.get", 0) == 0
             assert 1 <= perf_warm.counters.get(prefix + "ops.get_many", 0) <= 4
+            # nothing to solve, so no snapshot crossed the wire
+            assert perf_warm.counters.get(prefix + "ops.snapshot", 0) == 0
+    finally:
+        for server in servers:
+            server.stop()
+
+
+@pytest.mark.parametrize("n_replicas", [1, 2])
+def test_revalidate_over_the_wire_is_one_put_many_frame(
+    tmp_path, config, n_replicas
+):
+    """``StoreBackend.revalidate`` through a :class:`RemoteStore` (one
+    server) and a 2-replica :class:`ReplicatedStore`: the non-converged
+    entries are retrained and reach every replica in one ``put_many``
+    frame, never a per-key ``put``."""
+    feed = PulseStore(str(tmp_path / "feed"))
+    CompileService(feed, config, backend="serial").submit_batch([qft(4)])
+    entries = [feed.peek_key(k) for k in feed.keys()]
+    stale = {e.group.key() for e in entries[::2]}
+    assert stale
+    seeded = [replace(e, converged=e.group.key() not in stale) for e in entries]
+    servers, locals_ = [], []
+    for i in range(n_replicas):
+        server, local = _serve(tmp_path, f"r{i}")
+        local.put_many(seeded)
+        servers.append(server)
+        locals_.append(local)
+    spec = "|".join(server.address for server in servers)
+    try:
+        perf = PerfRecorder()
+        if n_replicas == 1:
+            store = RemoteStore(spec, perf=perf)
+            prefixes = ["store.remote."]
+        else:
+            store = ReplicatedStore(spec, perf=perf)
+            prefixes = [f"store.remote.r{i}." for i in range(n_replicas)]
+        summary = store.revalidate(ModelEngine(config.physics), budget=10**6)
+        assert summary["retrained"] == len(stale)
+        assert summary["converged"] == len(stale)
+        assert summary["remaining"] == 0
+        for prefix in prefixes:
+            assert perf.counters.get(prefix + "ops.put_many", 0) == 1, perf.counters
+            assert perf.counters.get(prefix + "ops.put", 0) == 0, perf.counters
+        for local in locals_:
+            assert len(local) == len(entries)
+            assert all(local.peek_key(k).converged for k in local.keys())
     finally:
         for server in servers:
             server.stop()

@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.core.cache import PulseLibrary
 from repro.core.engines import GrapeEngine, ModelEngine
 from repro.core.pipeline import AccQOC
 from repro.service import (
@@ -285,8 +284,10 @@ def test_class_aware_parts_widen_solve_class_buckets(config):
     aware = CompilePlanner(AccQOC(config, engine=class_engine))
     assert aware.class_aware is True  # picked up from RunConfig
 
-    plan_plain = plain.plan(programs, PulseLibrary(), 4)
-    plan_aware = aware.plan(programs, PulseLibrary(), 4)
+    plan_plain = plain.plan(programs)
+    plan_plain = plain.cut(plan_plain, plan_plain.uncovered, 4)
+    plan_aware = aware.plan(programs)
+    plan_aware = aware.cut(plan_aware, plan_aware.uncovered, 4)
 
     # parity: the same uncovered work, every vertex cut exactly once
     assert {g.key() for g in plan_plain.uncovered} == {
@@ -363,9 +364,11 @@ def test_stalled_worker_loses_queued_parts_to_steals(tmp_path, config):
     program = build_named("4gt4-v0")
     # precondition: the plan really cuts into >= 2 parts, else there is
     # nothing to steal
-    plan = CompilePlanner(
+    planner = CompilePlanner(
         AccQOC(config, engine=GrapeEngine(config.physics, config.run.fast()))
-    ).plan([program], PulseLibrary(), 4)
+    )
+    plan = planner.plan([program])
+    plan = planner.cut(plan, plan.uncovered, 4)
     assert len(plan.worker_plans) >= 2
 
     serial = CompileService(
