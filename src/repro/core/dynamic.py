@@ -1,4 +1,4 @@
-"""Accelerated dynamic compilation (paper Sec V).
+"""Accelerated dynamic compilation (paper Sec V) and AccQOC's one compile walk.
 
 Given a new program's *uncovered* groups, build the similarity graph over
 them (plus the identity), extract the Prim compile sequence, and train each
@@ -7,12 +7,29 @@ whose parent is the identity start cold — unless the pre-compiled library
 holds a sufficiently similar pulse, which AccQOC also exploits ("keeping
 previously generated pulses and selecting the most similar group's pulse as
 the initial condition", Sec I).
+
+That walk is the paper's one compile mechanism ("the technique applies ...
+as well as the static pre-compilation", Sec I), and :func:`compile_in_order`
+is its one implementation. Three callers feed it:
+
+- :meth:`AcceleratedCompiler.compile_uncovered` walks a program's uncovered
+  groups along their Prim sequence; every root's library seed comes from
+  one :func:`best_library_seeds` call (one ``dynamic.library_seed`` stage
+  per compile).
+- :meth:`repro.core.precompile.StaticPrecompiler.build_library` walks the
+  profiled unique groups the same way, roots cold. With
+  ``RunConfig.batched_grape`` set, its roots take the batched lane too.
+- :func:`repro.service.executor.run_part` walks one worker's part of a
+  service batch: roots seeded from the store snapshot, ``warm="chain"``
+  children from their parent within the part.
+
+Without the MST every caller walks the same :func:`star_sequence`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +57,9 @@ def best_library_seed(
     """Most similar same-dimension library pulse below ``threshold``.
 
     Returns ``(pulse, source_group)`` — both ``None`` when nothing in the
-    library is close enough, in which case the caller starts cold. Shared by
-    the serial :class:`AcceleratedCompiler` and the batch service executor.
+    library is close enough, in which case the caller starts cold. The
+    per-pair reference oracle for :func:`best_library_seeds`, which every
+    compile path calls instead.
     """
     fn = get_similarity(similarity)
     best: Tuple[float, Optional[Pulse], Optional[GateGroup]] = (
@@ -104,6 +122,126 @@ def best_library_seeds(
     return results
 
 
+#: A root's warm seed: ``(pulse, source group)``; ``(None, None)`` is cold.
+Seed = Tuple[Optional[Pulse], Optional[GateGroup]]
+
+
+def star_sequence(n: int) -> CompileSequence:
+    """The no-MST sequence: all ``n`` groups hang off the identity, in order."""
+    return CompileSequence(
+        order=list(range(n)),
+        parent={i: IDENTITY_VERTEX for i in range(n)},
+        parent_weight={i: 1.0 for i in range(n)},
+        total_weight=float(n),
+    )
+
+
+def compile_in_order(
+    engine,
+    groups: Sequence[GateGroup],
+    parents: Sequence[Optional[int]],
+    seeds: Sequence[Seed],
+    tags: Sequence[str],
+    perf: Optional[PerfRecorder] = None,
+    stage: str = "solve",
+) -> List[CompileRecord]:
+    """Compile ``groups`` in list order; records align with ``groups``.
+
+    A group whose ``parents[i]`` is set (an earlier position) warm-starts
+    from that parent's fresh record: its pulse, and its group, which is
+    what :class:`~repro.core.engines.ModelEngine` prices a warm start by.
+    A root (``parents[i] is None``) starts from ``seeds[i]``. ``tags[i]``
+    is the group's RNG tag. Each serial solve is one ``perf.stage(stage)``
+    call.
+
+    When the engine opts into cross-pulse batched GRAPE
+    (``RunConfig.batched_grape``), roots are first bucketed by the
+    engine's ``(dim, hi_steps)`` solve class, and each bucket of two or
+    more runs through one ``compile_group_batch`` kernel stream
+    (:mod:`repro.qoc.grape_batched`) under ``<stage>.batched``, in sorted
+    class order, with stream occupancy in the ``grape.batched.*``
+    counters. Seeds and RNG tags flow in per solve exactly as on the
+    serial path; only 1e-9-level kernel reassociation differs, which is
+    why the lane is opt-in and the serial walk stays the bit-identity
+    oracle. Children never batch (each needs its parent's fresh pulse),
+    and neither do singleton buckets or virtual diagonals.
+    """
+    perf = recorder_or_null(perf)
+    records: List[Optional[CompileRecord]] = [None] * len(groups)
+    if getattr(getattr(engine, "run", None), "batched_grape", False):
+        from repro.qoc.grape_batched import BatchStats
+
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for i, group in enumerate(groups):
+            if parents[i] is None:
+                solve_class = engine.solve_class(group)
+                if solve_class is not None:
+                    buckets.setdefault(solve_class, []).append(i)
+        batchable = [b for _, b in sorted(buckets.items()) if len(b) >= 2]
+        if batchable:
+            stats = BatchStats()
+            for bucket in batchable:
+                with perf.stage(stage + ".batched"):
+                    batch = engine.compile_group_batch(
+                        [groups[i] for i in bucket],
+                        warm_pulses=[seeds[i][0] for i in bucket],
+                        seed_tags=[tags[i] for i in bucket],
+                        stats=stats,
+                    )
+                for i, record in zip(bucket, batch):
+                    records[i] = record
+            perf.count("grape.batched.groups", sum(map(len, batchable)))
+            perf.count("grape.batched.buckets", len(batchable))
+            perf.count("grape.batched.batch_width", stats.width_sum)
+            perf.count("grape.batched.rounds", stats.rounds)
+            perf.count("grape.batched.narrowings", stats.narrowings)
+    for i, group in enumerate(groups):
+        if records[i] is not None:  # solved in a batched bucket
+            continue
+        parent = parents[i]
+        if parent is None:
+            warm_pulse, warm_source = seeds[i]
+        else:
+            warm_pulse, warm_source = records[parent].pulse, groups[parent]
+        with perf.stage(stage):
+            records[i] = compile_with_engine(
+                engine, group, warm_pulse, warm_source, seed_tag=tags[i]
+            )
+    return records
+
+
+def compile_sequence(
+    engine,
+    groups: Sequence[GateGroup],
+    sequence: CompileSequence,
+    seeds: Dict[int, Seed],
+    tag: str,
+    perf: Optional[PerfRecorder] = None,
+    stage: str = "solve",
+) -> List[CompileRecord]:
+    """:func:`compile_in_order` along a compile ``sequence`` over ``groups``.
+
+    Vertex ``v`` gets RNG tag ``f"{tag}:{v}"``; a root takes ``seeds[v]``,
+    or starts cold when it has none. Records align with ``groups``.
+    """
+    order = sequence.order
+    # The identity vertex has no position, so its children become roots.
+    position = {vertex: p for p, vertex in enumerate(order)}
+    ordered = compile_in_order(
+        engine,
+        [groups[v] for v in order],
+        [position.get(sequence.parent[v]) for v in order],
+        [seeds.get(v, (None, None)) for v in order],
+        [f"{tag}:{v}" for v in order],
+        perf,
+        stage,
+    )
+    records: List[Optional[CompileRecord]] = [None] * len(groups)
+    for vertex, record in zip(order, ordered):
+        records[vertex] = record
+    return records
+
+
 @dataclass
 class DynamicCompileReport:
     """Pulses and cost of compiling the uncovered groups."""
@@ -145,6 +283,11 @@ class AcceleratedCompiler:
         uncovered: Sequence[GateGroup],
         library: Optional[PulseLibrary] = None,
     ) -> DynamicCompileReport:
+        """Walk ``uncovered`` along its Prim sequence (a star without MST).
+
+        Roots take their seeds from ``library``, all of them from one
+        :func:`best_library_seeds` call under ``dynamic.library_seed``.
+        """
         start = time.monotonic()
         groups = list(uncovered)
         if self.use_mst:
@@ -153,124 +296,32 @@ class AcceleratedCompiler:
             with self.perf.stage("dynamic.prim"):
                 sequence = prim_compile_sequence(graph)
         else:
-            sequence = CompileSequence(
-                order=list(range(len(groups))),
-                parent={i: IDENTITY_VERTEX for i in range(len(groups))},
-                parent_weight={i: 1.0 for i in range(len(groups))},
-                total_weight=float(len(groups)),
-            )
-        records: List[Optional[CompileRecord]] = [None] * len(groups)
-        total_iterations = 0
-        if getattr(
-            getattr(self.engine, "run", None), "batched_grape", False
-        ) and hasattr(self.engine, "compile_group_batch"):
-            # Batched lane: identity-rooted groups have no intra-batch
-            # dependency (chain-warm children do), so same-class roots can
-            # share one kernel stream. Children below still warm-start from
-            # these freshly batched root pulses, exactly as in the serial
-            # order.
-            self._compile_roots_batched(groups, sequence, library, records)
-        for index in sequence.order:
-            if records[index] is not None:  # solved in the batched lane
-                total_iterations += records[index].iterations
-                self.perf.count("dynamic.iterations", records[index].iterations)
-                continue
-            group = groups[index]
-            parent = sequence.parent[index]
-            warm_pulse: Optional[Pulse] = None
-            warm_source: Optional[GateGroup] = None
-            if parent != IDENTITY_VERTEX and records[parent] is not None:
-                parent_record = records[parent]
-                warm_pulse = parent_record.pulse
-                warm_source = groups[parent]
-            elif library is not None:
-                with self.perf.stage("dynamic.library_seed"):
-                    warm_pulse, warm_source = self._best_library_seed(
-                        group, library
-                    )
-            with self.perf.stage("dynamic.solve"):
-                record = self._compile(
-                    group, warm_pulse, warm_source, f"dyn:{index}"
+            sequence = star_sequence(len(groups))
+        seeds: Dict[int, Seed] = {}
+        if library is not None:
+            roots = [
+                v for v in sequence.order
+                if sequence.parent[v] == IDENTITY_VERTEX
+            ]
+            with self.perf.stage("dynamic.library_seed"):
+                found = best_library_seeds(
+                    [groups[v] for v in roots],
+                    library,
+                    self.similarity,
+                    self.library_seed_threshold,
                 )
-            records[index] = record
-            total_iterations += record.iterations
-            self.perf.count("dynamic.iterations", record.iterations)
+            seeds = dict(zip(roots, found))
+        records = compile_sequence(
+            self.engine, groups, sequence, seeds, "dyn", self.perf,
+            "dynamic.solve",
+        )
+        total_iterations = sum(record.iterations for record in records)
+        self.perf.count("dynamic.iterations", total_iterations)
         self.perf.count("dynamic.groups", len(groups))
-        final_records = [r for r in records if r is not None]
         return DynamicCompileReport(
-            records=final_records,
+            records=records,
             groups=groups,
             sequence=sequence,
             total_iterations=total_iterations,
             wall_time=time.monotonic() - start,
-        )
-
-    # ------------------------------------------------------------------ impl
-    def _compile_roots_batched(
-        self,
-        groups: Sequence[GateGroup],
-        sequence: CompileSequence,
-        library: Optional[PulseLibrary],
-        records: List[Optional[CompileRecord]],
-    ) -> None:
-        """Solve same-class identity-rooted groups in batched streams.
-
-        Fills ``records`` for every group it takes; the serial loop skips
-        those and compiles the rest (chain-warm children, virtual
-        diagonals, singleton classes) exactly as before. Stage time lands
-        under ``dynamic.solve.batched`` and stream occupancy under the
-        ``grape.batched.*`` counters, so ``CompiledProgram.perf`` /
-        ``repro perf`` show batch occupancy for one-shot compiles too.
-        """
-        from repro.qoc.grape_batched import BatchStats
-
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for index in sequence.order:
-            if sequence.parent[index] != IDENTITY_VERTEX:
-                continue
-            solve_class = self.engine.solve_class(groups[index])
-            if solve_class is None:
-                continue
-            buckets.setdefault(solve_class, []).append(index)
-        batchable = [
-            indices for _, indices in sorted(buckets.items())
-            if len(indices) >= 2
-        ]
-        if not batchable:
-            return
-        stats = BatchStats()
-        for indices in batchable:
-            warm_pulses: List[Optional[Pulse]] = [None] * len(indices)
-            if library is not None:
-                with self.perf.stage("dynamic.library_seed"):
-                    seeds = best_library_seeds(
-                        [groups[i] for i in indices],
-                        library,
-                        self.similarity,
-                        self.library_seed_threshold,
-                    )
-                warm_pulses = [pulse for pulse, _ in seeds]
-            with self.perf.stage("dynamic.solve.batched"):
-                bucket_records = self.engine.compile_group_batch(
-                    [groups[i] for i in indices],
-                    warm_pulses=warm_pulses,
-                    seed_tags=[f"dyn:{i}" for i in indices],
-                    stats=stats,
-                )
-            for index, record in zip(indices, bucket_records):
-                records[index] = record
-        self.perf.count("grape.batched.batch_width", stats.width_sum)
-        self.perf.count("grape.batched.rounds", stats.rounds)
-        self.perf.count("grape.batched.narrowings", stats.narrowings)
-
-    def _compile(self, group, warm_pulse, warm_source, tag) -> CompileRecord:
-        return compile_with_engine(
-            self.engine, group, warm_pulse, warm_source, seed_tag=tag
-        )
-
-    def _best_library_seed(
-        self, group: GateGroup, library: PulseLibrary
-    ) -> Tuple[Optional[Pulse], Optional[GateGroup]]:
-        return best_library_seed(
-            group, library, self.similarity, self.library_seed_threshold
         )

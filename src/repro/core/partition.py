@@ -95,7 +95,7 @@ def partition_tree(
     while a different-class child only joins within the strict capacity.
     Wider same-class parts are what the batched-GRAPE kernels want — each
     part's tasks bucket by ``solve_class`` into one stacked propagation
-    (see ``executor._run_batched_buckets``) — and the slack trades a
+    (see ``core.dynamic.compile_in_order``) — and the slack trades a
     bounded amount of balance for that batch width. Reported part weights
     stay honest (actual sums, slack included), so ``bottleneck`` remains a
     truthful makespan proxy. ``None`` class (virtual-diagonal groups, or a

@@ -5,20 +5,20 @@ de-duplicate the groups, and compile a pulse for every distinct matrix with
 the latency binary search. The MST warm-start trick applies here too ("the
 technique applies ... as well as the static pre-compilation (but it is a one
 time cost)", Sec I), so the library build itself runs along a compile
-sequence. Optionally the most frequent group is re-trained with a larger
-budget to shave its latency further (Sec IV-G).
+sequence, through the same walk as dynamic compilation
+(:func:`repro.core.dynamic.compile_in_order`). Optionally the most
+frequent group is re-trained with a larger budget to shave its latency
+further (Sec IV-G).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
 
 from repro.core.cache import LibraryEntry, PulseLibrary
-from repro.core.engines import CompileRecord, compile_with_engine
+from repro.core.dynamic import compile_sequence, star_sequence
 from repro.core.simgraph import (
-    IDENTITY_VERTEX,
     CompileSequence,
     build_similarity_graph,
     prim_compile_sequence,
@@ -54,39 +54,19 @@ class StaticPrecompiler:
         optimize_most_frequent: bool = False,
     ) -> PrecompileReport:
         start = time.monotonic()
-        library = PulseLibrary()
         unique = dedup.unique
         if self.use_mst:
             graph = build_similarity_graph(unique, self.similarity)
             sequence = prim_compile_sequence(graph)
         else:
-            sequence = CompileSequence(
-                order=list(range(len(unique))),
-                parent={i: IDENTITY_VERTEX for i in range(len(unique))},
-                parent_weight={i: 1.0 for i in range(len(unique))},
-                total_weight=float(len(unique)),
-            )
-        total_iterations = 0
-        cold_iterations = 0
-        records: Dict[int, CompileRecord] = {}
-        for index in sequence.order:
-            group = unique[index]
-            parent = sequence.parent[index]
-            warm_pulse = None
-            warm_source: Optional[GateGroup] = None
-            if parent != IDENTITY_VERTEX and parent in records:
-                parent_record = records[parent]
-                if parent_record.pulse is not None:
-                    warm_pulse = parent_record.pulse
-                warm_source = unique[parent]
-            record = self._compile(group, warm_pulse, warm_source, f"pre:{index}")
-            records[index] = record
-            total_iterations += record.iterations
-            cold = self._compile_cost_cold(group)
-            cold_iterations += cold
+            sequence = star_sequence(len(unique))
+        records = compile_sequence(self.engine, unique, sequence, {}, "pre")
+        library = PulseLibrary()
+        for index in sequence.order:  # the library keeps compile order
+            record = records[index]
             library.add(
                 LibraryEntry(
-                    group=group,
+                    group=unique[index],
                     pulse=record.pulse,
                     latency=record.latency,
                     iterations=record.iterations,
@@ -99,19 +79,14 @@ class StaticPrecompiler:
         return PrecompileReport(
             library=library,
             sequence=sequence,
-            total_iterations=total_iterations,
-            cold_iterations=cold_iterations,
+            total_iterations=sum(record.iterations for record in records),
+            cold_iterations=sum(self._compile_cost_cold(g) for g in unique),
             n_unique=len(unique),
             wall_time=time.monotonic() - start,
             most_frequent_optimized=optimized,
         )
 
     # ------------------------------------------------------------------ impl
-    def _compile(self, group, warm_pulse, warm_source, tag) -> CompileRecord:
-        return compile_with_engine(
-            self.engine, group, warm_pulse, warm_source, seed_tag=tag
-        )
-
     def _compile_cost_cold(self, group: GateGroup) -> int:
         """Modelled cost of a cold build (for speedup accounting)."""
         if hasattr(self.engine, "iterations"):

@@ -115,6 +115,8 @@ count and batch composition, so the content-addressed store stays
 coherent.
 ``warm="chain"`` restores the paper's within-part MST chaining for
 experiments (see ``executor``'s module docstring for the tradeoff).
+Either way a worker runs its part through the compile walk the static
+and dynamic compilers use, ``core.dynamic.compile_in_order``.
 
 Operating a replicated fleet (runbook)
 --------------------------------------

@@ -13,13 +13,14 @@ where its solves ran. Because every :class:`GroupTask` carries its warm
 seed resolved from the batch snapshot (see below), where a part runs can
 never change what it produces.
 
+A worker runs its part through :func:`repro.core.dynamic.compile_in_order`,
+the compile walk static pre-compilation and dynamic compilation use too.
 Orthogonally to *where* a part runs, ``RunConfig.batched_grape`` (the
-``repro batch --engine grape-batched`` flag) changes *how* a worker runs
-it: :func:`run_part` buckets the part's store-seeded tasks by the
-engine's ``(dim, hi_steps)`` solve class and drives each bucket through
-one cross-pulse batched kernel stream instead of K sequential solves
-(see :func:`run_part` and :mod:`repro.qoc.grape_batched` for the exact
-rules). The serial loop remains the default and the bit-identity oracle.
+``repro batch --engine grape-batched`` flag) changes *how* that walk runs
+it: same-class store-seeded tasks share one cross-pulse batched kernel
+stream instead of K sequential solves (the exact rules are in
+:func:`~repro.core.dynamic.compile_in_order`). The serial walk remains the
+default and the bit-identity oracle.
 
 Warm-start modes
 ----------------
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import PulseLibrary
-from repro.core.dynamic import best_library_seeds
-from repro.core.engines import CompileRecord, compile_with_engine
+from repro.core.dynamic import Seed, best_library_seeds, compile_in_order
+from repro.core.engines import CompileRecord
 from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.qoc.pulse import Pulse
@@ -90,14 +91,6 @@ def seed_tag_for(group: GateGroup) -> str:
     return f"svc:{key_digest(group.key())[:24]}"
 
 
-def _batched_engine(engine) -> bool:
-    """True when the engine opted into cross-pulse batched GRAPE."""
-    run = getattr(engine, "run", None)
-    return bool(getattr(run, "batched_grape", False)) and hasattr(
-        engine, "compile_group_batch"
-    )
-
-
 def run_part(
     engine,
     worker: int,
@@ -106,20 +99,13 @@ def run_part(
 ) -> PartOutcome:
     """Compile one part (module-level so process pools can run it).
 
-    Default path: tasks compile one by one, in order — this serial loop is
-    the bit-identity oracle every other execution strategy is checked
-    against. When the engine carries ``RunConfig.batched_grape`` (the
-    ``repro batch --engine grape-batched`` flag) and exposes
-    ``compile_group_batch``, the part's store-seeded tasks are bucketed by
-    the engine's ``(dim, hi_steps)`` solve class and each bucket of two or
-    more solves runs through one batched kernel stream
-    (:mod:`repro.qoc.grape_batched`) — warm seeds flow in per-solve exactly
-    as on the serial path, and per-solve target/budget semantics are
-    unchanged (only 1e-9-level kernel reassociation differs, which is why
-    the batched path is opt-in rather than the default). Chain-mode tasks
-    (``parent_local`` set) stay serial: a child needs its parent's freshly
-    compiled pulse, a dependency batching cannot honour. Singleton buckets
-    stay serial too — below two solves the stream is pure overhead.
+    The tasks go through :func:`repro.core.dynamic.compile_in_order` in
+    part order: a task with ``parent_local`` set (chain mode) warm-starts
+    from its parent's fresh record, every other task from its store seed,
+    each with its canonical-key RNG tag. With ``RunConfig.batched_grape``
+    set, same-class seeded tasks share the walk's batched lane; the
+    ``solve`` stage then includes ``solve.batched`` time, and the
+    ``grape.batched.*`` counters report stream occupancy.
 
     ``submitted_at`` is a ``time.perf_counter`` reading taken when the part
     was handed to the pool; the gap to the part's first instruction is the
@@ -130,41 +116,24 @@ def run_part(
     """
     start = time.perf_counter()
     queue_wait = max(0.0, start - submitted_at) if submitted_at is not None else 0.0
-    solve_s = 0.0
-    stages: Dict[str, float] = {}
-    counters: Dict[str, int] = {}
-    records: List[Optional[CompileRecord]] = [None] * len(tasks)
-    if _batched_engine(engine):
-        batched_s = _run_batched_buckets(engine, tasks, records, counters)
-        if batched_s is not None:
-            stages["solve.batched"] = batched_s
-            solve_s += batched_s
-    for index, task in enumerate(tasks):
-        if records[index] is not None:  # solved by a batched bucket
-            continue
-        warm_pulse, warm_source = task.seed_pulse, task.seed_source
-        if task.parent_local is not None:
-            # Chain mode: the parent compiled earlier in this same part. A
-            # ModelEngine parent has no pulse; its group still prices the
-            # warm ratio via ``warm_source``.
-            warm_pulse = records[task.parent_local].pulse
-            warm_source = tasks[task.parent_local].group
-        t0 = time.perf_counter()
-        record = compile_with_engine(
-            engine,
-            task.group,
-            warm_pulse=warm_pulse,
-            warm_source=warm_source,
-            seed_tag=task.seed_tag,
-        )
-        solve_s += time.perf_counter() - t0
-        records[index] = record
-    iterations = sum(record.iterations for record in records)
-    stages["solve"] = solve_s
-    counters.update({"groups": len(tasks), "iterations": iterations})
+    perf = PerfRecorder()
+    records = compile_in_order(
+        engine,
+        [task.group for task in tasks],
+        [task.parent_local for task in tasks],
+        [(task.seed_pulse, task.seed_source) for task in tasks],
+        [task.seed_tag for task in tasks],
+        perf,
+        "solve",
+    )
+    stages = {name: stat.total_s for name, stat in perf.stages.items()}
+    stages["solve"] = stages.get("solve", 0.0) + stages.get("solve.batched", 0.0)
+    counters = dict(perf.counters)
+    counters["groups"] = len(tasks)
+    counters["iterations"] = sum(record.iterations for record in records)
     return PartOutcome(
         worker=worker,
-        records=list(records),
+        records=records,
         wall_s=time.perf_counter() - start,
         perf_stages=stages,
         perf_counters=counters,
@@ -172,70 +141,11 @@ def run_part(
     )
 
 
-def _run_batched_buckets(
-    engine,
-    tasks: Sequence[GroupTask],
-    records: List[Optional[CompileRecord]],
-    counters: Dict[str, int],
-) -> Optional[float]:
-    """Solve the part's batchable buckets; fill ``records`` in place.
-
-    Returns the wall seconds spent in batched solves (None when nothing
-    was batchable), and accumulates the stream-occupancy counters
-    (``grape.batched.batch_width`` = sum of per-round widths,
-    ``grape.batched.rounds``, ``grape.batched.narrowings``) the batch
-    report surfaces per worker.
-    """
-    from repro.qoc.grape_batched import BatchStats
-
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for index, task in enumerate(tasks):
-        if task.parent_local is not None:  # chain dependency: stays serial
-            continue
-        solve_class = engine.solve_class(task.group)
-        if solve_class is None:  # virtual diagonal: trivial, stays serial
-            continue
-        buckets.setdefault(solve_class, []).append(index)
-    batchable = [
-        indices for _, indices in sorted(buckets.items()) if len(indices) >= 2
-    ]
-    if not batchable:
-        return None
-    stats = BatchStats()
-    batched_s = 0.0
-    n_batched = 0
-    for indices in batchable:
-        t0 = time.perf_counter()
-        bucket_records = engine.compile_group_batch(
-            [tasks[i].group for i in indices],
-            warm_pulses=[tasks[i].seed_pulse for i in indices],
-            seed_tags=[tasks[i].seed_tag for i in indices],
-            stats=stats,
-        )
-        batched_s += time.perf_counter() - t0
-        for i, record in zip(indices, bucket_records):
-            records[i] = record
-        n_batched += len(indices)
-    counters["grape.batched.groups"] = n_batched
-    counters["grape.batched.buckets"] = len(batchable)
-    counters["grape.batched.batch_width"] = stats.width_sum
-    counters["grape.batched.rounds"] = stats.rounds
-    counters["grape.batched.narrowings"] = stats.narrowings
-    return batched_s
-
-
-def _run_part_payload(payload: Tuple) -> PartOutcome:
-    """Process-pool entry point: unpack (engine, worker, tasks, submitted)."""
-    engine, worker, tasks, submitted_at = payload
-    return run_part(engine, worker, tasks, submitted_at)
-
-
 # ------------------------------------------------------------------ backends
 class SerialBackend:
     """Parts run one after another in the calling thread."""
 
     name = "serial"
-    accepts_weights = True  # modelled part weights; local pools ignore them
 
     def map_parts(
         self,
@@ -254,7 +164,6 @@ class ThreadBackend:
     """One OS thread per part; BLAS releases the GIL during solves."""
 
     name = "thread"
-    accepts_weights = True
 
     def __init__(self, n_workers: int):
         self.n_workers = max(1, int(n_workers))
@@ -277,7 +186,6 @@ class ProcessBackend:
     """One OS process per part; payloads and records travel by pickle."""
 
     name = "process"
-    accepts_weights = True
 
     def __init__(self, n_workers: int):
         self.n_workers = max(1, int(n_workers))
@@ -292,10 +200,7 @@ class ProcessBackend:
             return SerialBackend().map_parts(engine, parts)
         with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
             futures = [
-                pool.submit(
-                    _run_part_payload,
-                    (engine, worker, tasks, time.perf_counter()),
-                )
+                pool.submit(run_part, engine, worker, tasks, time.perf_counter())
                 for worker, tasks in parts
             ]
             return [f.result() for f in futures]
@@ -368,15 +273,9 @@ class WorkerPoolExecutor:
         """Compile only the ``wanted`` vertices.
 
         Returns a dense list aligned with ``plan.uncovered``; vertices not in
-        ``wanted`` get ``None`` slots.
-
-        ``snapshot`` is the frozen warm-seed source: a
-        :class:`~repro.core.cache.PulseLibrary`, or any store backend with
-        a ``snapshot()`` method — a sharded store freezes per-shard
-        snapshots (each under its own shard lock) and merges them here.
+        ``wanted`` get ``None`` slots. ``snapshot`` is the frozen warm-seed
+        source.
         """
-        if hasattr(snapshot, "snapshot"):  # a StoreBackend: freeze it now
-            snapshot = snapshot.snapshot()
         wanted_set = set(wanted)
         parts: List[Tuple[int, List[GroupTask]]] = []
         part_weights: List[float] = []
@@ -415,15 +314,11 @@ class WorkerPoolExecutor:
                 )
                 index_map.append(indices)
         with self.perf.stage("execute.solve"):
-            # Modelled part weights ride along for backends that schedule
-            # (the remote fabric's EWMA placement); foreign backends with
-            # the plain 2-arg map_parts still work unchanged.
-            if getattr(self.backend, "accepts_weights", False):
-                outcomes = self.backend.map_parts(
-                    self.engine, parts, weights=part_weights
-                )
-            else:
-                outcomes = self.backend.map_parts(self.engine, parts)
+            # Modelled part weights: the remote fabric's EWMA placement
+            # schedules by them; the local pools ignore them.
+            outcomes = self.backend.map_parts(
+                self.engine, parts, weights=part_weights
+            )
         records: List[Optional[CompileRecord]] = [None] * len(plan.uncovered)
         for indices, outcome in zip(index_map, outcomes):
             for local, vertex in enumerate(indices):
@@ -444,7 +339,7 @@ class WorkerPoolExecutor:
         plan: BatchPlan,
         snapshot: PulseLibrary,
         wanted: "set[int]",
-    ) -> Dict[int, Tuple[Optional[Pulse], Optional[GateGroup]]]:
+    ) -> Dict[int, Seed]:
         """Store-snapshot warm seeds for every wanted vertex, batched.
 
         One Gram-matrix distance block per dimension class (via
@@ -466,7 +361,7 @@ class WorkerPoolExecutor:
         plan: BatchPlan,
         indices: Sequence[int],
         chain_parent: Dict[int, Optional[int]],
-        seeds: Dict[int, Tuple[Optional[Pulse], Optional[GateGroup]]],
+        seeds: Dict[int, Seed],
     ) -> List[GroupTask]:
         tasks: List[GroupTask] = []
         for vertex in indices:

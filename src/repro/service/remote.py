@@ -673,7 +673,6 @@ class RemoteExecutor:
     """
 
     name = "remote"
-    accepts_weights = True  # map_parts takes the plan's modelled weights
 
     def __init__(
         self,
