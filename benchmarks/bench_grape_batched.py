@@ -124,8 +124,8 @@ def test_batched_grape_1q_class(benchmark):
     assert speedups[1] > 0.8
     # The acceptance gate: a K >= 8 same-dimension part, >= 2x end to end.
     # Asserted in measured mode only — quick mode (--benchmark-disable,
-    # the CI smoke) still runs everything and checks parity, but shared
-    # runners are too noisy to gate a wall-clock ratio on.
+    # the CI benches job) still runs everything and checks parity, but
+    # shared runners are too noisy to gate a wall-clock ratio on.
     if not benchmark.disabled:
         assert speedups[16] >= 2.0, (
             f"batched engine {speedups[16]:.2f}x at K=16, acceptance needs 2x"

@@ -4,8 +4,8 @@ Times the batched (Gram-matrix) ``build_similarity_graph`` against the
 per-pair reference at the acceptance point (64 four-dimensional groups) and
 at a larger scale. The committed baselines live in PERF.md; compare runs
 with ``pytest benchmarks/bench_simgraph.py --benchmark-only``. Quick mode
-(CI smoke): add ``--benchmark-disable`` — every bench still executes and
-checks correctness, nothing is timed.
+(the CI benches job): add ``--benchmark-disable`` — every bench still
+executes and checks correctness, nothing is timed.
 """
 
 import numpy as np

@@ -378,21 +378,14 @@ class FleetAuditor:
 
     # --------------------------------------------------------- remote walk
     def _audit_remote(self, findings: List[Finding]) -> List[_ShardView]:
-        from repro.service.remote import parse_route
-        from repro.service.store import StoreVersionError
+        from repro.service.remote import parse_routes
 
-        routes = [p.strip() for p in self.spec.split(",") if p.strip()]
-        views: List[_ShardView] = []
-        for index, route in enumerate(routes):
-            locus = f"shard-{index}"
-            try:
-                replicas, _params = parse_route(route)
-            except (ValueError, StoreVersionError) as exc:
-                raise ValueError(f"bad route {route!r}: {exc}") from exc
-            views.append(
-                self._audit_route(locus, replicas, findings)
+        return [
+            self._audit_route(f"shard-{index}", replicas, findings)
+            for index, (_route, replicas, _params) in enumerate(
+                parse_routes(self.spec)
             )
-        return views
+        ]
 
     def _probe_replica(self, replica_spec: str) -> Optional[Dict]:
         """Two read-only RPCs against one replica; None when unreachable."""

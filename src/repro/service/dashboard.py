@@ -43,7 +43,7 @@ from repro.service.remote import (
     RetryPolicy,
     is_remote_spec,
     parse_remote_spec,
-    parse_route,
+    parse_routes,
 )
 
 #: Counters (inside the server's ``stats`` dict) that the poller turns
@@ -74,9 +74,9 @@ def fleet_targets(
     """
     targets: List[Target] = []
     if store_spec and is_remote_spec(store_spec):
-        routes = [p.strip() for p in str(store_spec).split(",") if p.strip()]
-        for i, route in enumerate(routes):
-            replicas, _params = parse_route(route)
+        for i, (_route, replicas, _params) in enumerate(
+            parse_routes(store_spec)
+        ):
             for j, replica in enumerate(replicas):
                 host, port = parse_remote_spec(replica)
                 label = (

@@ -32,12 +32,13 @@ Scenario anatomy (:class:`Scenario`):
   ``replicas`` (2 spawns a ``w=majority`` replica pair of ``repro store
   serve`` processes).
 * **faults** — mid-run chaos, reusing the patterns proven in
-  ``tests/test_service_scheduler.py`` and the CI chaos-smoke job:
-  ``kill_replica`` (SIGKILL the first replica, revive it later with the
-  anti-entropy loop pointed at the survivor), ``churn_worker`` (SIGKILL
-  a fabric worker, enroll a replacement), ``stall_worker`` (a raw
-  socket enrolls, accepts one part, and never answers until released —
-  the scheduler must steal/reassign around it).
+  ``tests/test_service_scheduler.py`` and
+  ``tests/test_service_antientropy.py``: ``kill_replica`` (SIGKILL the
+  first replica, revive it later with the anti-entropy loop pointed at
+  the survivor), ``churn_worker`` (SIGKILL a fabric worker, enroll a
+  replacement), ``stall_worker`` (a raw socket enrolls, accepts one
+  part, and never answers until released — the scheduler must
+  steal/reassign around it).
 
 **Wrong answers** are detected without an oracle: the engines are
 deterministic, so every ``ok`` response for the same program within one
@@ -62,9 +63,11 @@ table instead of a docstring promise.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -312,13 +315,19 @@ def _weighted_pick(names: Sequence[str], cumulative: Sequence[float], rng) -> st
     return names[-1]
 
 
-def _cumulative(weights: Sequence[float]) -> List[float]:
-    edges: List[float] = []
-    total = 0.0
-    for w in weights:
-        total += w
-        edges.append(total)
-    return edges
+def _client_traffic(
+    scenario: Scenario, index: int
+) -> Tuple[random.Random, List[str], List[float]]:
+    """Client ``index``'s RNG plus the mix as names and cumulative weights.
+
+    The RNG is seeded from a string, which ``random.Random`` hashes with
+    SHA-512: the same ``seed`` draws the same programs and arrival
+    schedule in every interpreter. (``hash()`` of a tuple holding a str
+    varies with ``PYTHONHASHSEED``.)
+    """
+    names, weights = scenario.programs_and_weights()
+    rng = random.Random(f"{scenario.seed}:client:{index}")
+    return rng, names, list(itertools.accumulate(weights))
 
 
 # ----------------------------------------------------------------- traffic
@@ -405,11 +414,7 @@ def _closed_client(
     host: str, port: int, scenario: Scenario, index: int,
     deadline: float, quota: Optional[int], recorder: _Recorder,
 ) -> None:
-    import random
-
-    rng = random.Random((scenario.seed, "client", index).__hash__() & 0x7FFFFFFF)
-    names, weights = scenario.programs_and_weights()
-    edges = _cumulative(weights)
+    rng, names, edges = _client_traffic(scenario, index)
     with _connect(host, port, timeout_s=120.0) as sock:
         with sock.makefile("rwb") as stream:
             n = 0
@@ -435,11 +440,7 @@ def _open_client(
     host: str, port: int, scenario: Scenario, index: int,
     measure_start: float, recorder: _Recorder, drain_s: float = 30.0,
 ) -> None:
-    import random
-
-    rng = random.Random((scenario.seed, "client", index).__hash__() & 0x7FFFFFFF)
-    names, weights = scenario.programs_and_weights()
-    edges = _cumulative(weights)
+    rng, names, edges = _client_traffic(scenario, index)
     schedule = poisson_arrivals(
         scenario.rate_rps / scenario.clients, scenario.duration_s, rng
     )
@@ -496,11 +497,7 @@ def _burst_client(
     host: str, port: int, scenario: Scenario, index: int,
     deadline: float, recorder: _Recorder,
 ) -> None:
-    import random
-
-    rng = random.Random((scenario.seed, "client", index).__hash__() & 0x7FFFFFFF)
-    names, weights = scenario.programs_and_weights()
-    edges = _cumulative(weights)
+    rng, names, edges = _client_traffic(scenario, index)
     with _connect(host, port, timeout_s=120.0) as sock:
         with sock.makefile("rwb") as stream:
             n = 0

@@ -242,6 +242,35 @@ def parse_route(spec: str) -> Tuple[List[str], Dict[str, str]]:
     return split_replicas(head), params
 
 
+#: One routing-table entry: ``(route spec, ordered replica specs, params)``.
+Route = Tuple[str, List[str], Dict[str, str]]
+
+
+def parse_routes(spec: str) -> List[Route]:
+    """A comma-separated routing table -> ``(route, replicas, params)`` per
+    route, in shard order.
+
+    Every route must be ``remote://`` and parse under :func:`parse_route`,
+    so ``/local/dir,remote://h:p`` is refused rather than read as a local
+    path. Raises ``ValueError`` naming the first bad route.
+    """
+    parsed = []
+    for route in (part.strip() for part in str(spec).split(",")):
+        if not route:
+            continue
+        if not is_remote_spec(route):
+            raise ValueError(
+                f"every route of a routing table must be "
+                f"remote://host:port, got {route!r}"
+            )
+        try:
+            replicas, params = parse_route(route)
+        except ValueError as exc:
+            raise ValueError(f"bad route {route!r}: {exc}") from exc
+        parsed.append((route, replicas, params))
+    return parsed
+
+
 def is_remote_spec(spec: str) -> bool:
     """True for ``remote://host:port`` (or a comma list of them)."""
     return str(spec).startswith(REMOTE_SCHEME)

@@ -28,8 +28,9 @@ Shard -> host is just a routing decision: ``ShardedStore(routes=[...])``
 replaces the local per-shard directories with
 :class:`~repro.service.remote.RemoteStore` clients, one ``remote://``
 host per digest range, same ``shard_of`` arithmetic (``open_store`` takes
-a comma-separated ``remote://`` list and builds the routing table in
-order). Each host runs ``repro store serve`` over its own ordinary store
+a comma-separated ``remote://`` list, parses it with
+:func:`~repro.service.remote.parse_routes` and builds the routing table
+in order). Each host runs ``repro store serve`` over its own ordinary store
 directory, so the distributed layout is made of the same durable parts as
 the local one. A route may list *replicas* —
 ``remote://h1a:p|h1b:p,remote://h2:p`` maps shard 0's digest range onto a
@@ -61,7 +62,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.cache import LibraryEntry, PulseLibrary
 from repro.grouping.group import GateGroup
@@ -80,6 +81,9 @@ from repro.service.store import (
     _atomic_write_json,
     key_digest,
 )
+
+if TYPE_CHECKING:
+    from repro.service.remote import Route
 
 SHARD_MAP_VERSION = 1
 SHARD_MAP_NAME = "shardmap.json"
@@ -161,7 +165,7 @@ class ShardedStore(StoreBackend):
         expected_shards: Optional[int] = None,
         max_entries: Optional[int] = None,
         perf: Optional[PerfRecorder] = None,
-        routes: Optional[Sequence[str]] = None,
+        routes: Optional[Sequence[Route]] = None,
     ) -> None:
         self.perf = recorder_or_null(perf)
         self.routes: Optional[List[str]] = None
@@ -169,7 +173,7 @@ class ShardedStore(StoreBackend):
             # Routing table mode: shard i's digest range lives on host i.
             # Same shard_of arithmetic as local shards — shard -> host is
             # purely a routing decision, the key space never changes.
-            self._init_routed(root, list(routes), n_shards, expected_shards)
+            self._init_routed(root, routes, n_shards, expected_shards)
             return
         if root is None:
             raise StoreVersionError("ShardedStore needs a root or routes")
@@ -213,28 +217,20 @@ class ShardedStore(StoreBackend):
     def _init_routed(
         self,
         root: Optional[str],
-        routes: List[str],
+        routes: Sequence[Route],
         n_shards: Optional[int],
         expected_shards: Optional[int],
     ) -> None:
-        """Build the store from a routing table of ``remote://`` routes
-        (each route a host, or a ``|``-separated replica list)."""
-        from repro.service.remote import (
-            RemoteStore,
-            is_remote_spec,
-            parse_route,
-        )
-        from repro.service.replication import ReplicatedStore
-
+        """Build the store from a routing table as
+        :func:`~repro.service.remote.parse_routes` returns it: one
+        ``(route, replicas, params)`` per digest range, in shard order."""
         if root is not None:
             raise StoreVersionError(
                 "a routed ShardedStore has no local root; the hosts own "
                 "their own directories"
             )
-        if not routes or not all(is_remote_spec(r) for r in routes):
-            raise StoreVersionError(
-                f"routes must be remote:// specs, got {routes!r}"
-            )
+        if not routes:
+            raise StoreVersionError("a routed ShardedStore needs a route")
         requested = expected_shards if expected_shards is not None else n_shards
         if requested is not None and requested != len(routes):
             raise StoreVersionError(
@@ -242,34 +238,13 @@ class ShardedStore(StoreBackend):
                 f"{requested} shards were requested"
             )
         self.root = None
-        self.routes = routes
+        self.routes = [spec for spec, _, _ in routes]
         self.n_shards = len(routes)
         self.max_entries = None  # bounds are each store server's policy
-        self.shards = []
-        for i, spec in enumerate(routes):
-            try:
-                replicas, params = parse_route(spec)
-            except ValueError as exc:
-                raise StoreVersionError(f"bad route {spec!r}: {exc}") from exc
-            if len(replicas) > 1 or "w" in params:
-                # Replica set — or a single host asking for a write
-                # concern: the quorum machinery lives in ReplicatedStore,
-                # which re-parses the spec's params itself.
-                self.shards.append(
-                    ReplicatedStore(
-                        spec,
-                        perf=self.perf,
-                        stat_prefix=f"store.shard{i}.",
-                    )
-                )
-            else:
-                self.shards.append(
-                    RemoteStore(
-                        spec,
-                        perf=self.perf,
-                        stat_prefix=f"store.shard{i}.",
-                    )
-                )
+        self.shards = [
+            _route_store(route, self.perf, stat_prefix=f"store.shard{i}.")
+            for i, route in enumerate(routes)
+        ]
 
     # -------------------------------------------------------------- routing
     def shard_for_key(self, key: bytes) -> StoreBackend:
@@ -406,6 +381,25 @@ class ShardedStore(StoreBackend):
 
 
 # ------------------------------------------------------------------ factory
+def _route_store(
+    route: Route,
+    perf: Optional[PerfRecorder],
+    stat_prefix: str = "store.remote.",
+) -> StoreBackend:
+    """One parsed route as a store. A replica set — or a single host asking
+    for a write concern — gets the quorum machinery of
+    :class:`~repro.service.replication.ReplicatedStore`, which re-parses
+    the spec's params itself; a plain host is a
+    :class:`~repro.service.remote.RemoteStore`."""
+    from repro.service.remote import RemoteStore
+    from repro.service.replication import ReplicatedStore
+
+    spec, replicas, params = route
+    if len(replicas) > 1 or "w" in params:
+        return ReplicatedStore(spec, perf=perf, stat_prefix=stat_prefix)
+    return RemoteStore(spec, perf=perf, stat_prefix=stat_prefix)
+
+
 def open_store(
     root: str,
     shards: Optional[int] = None,
@@ -438,36 +432,19 @@ def open_store(
         # only a leading one would let `/local/dir,remote://h:p` fall
         # through and silently open a fresh local store at that literal
         # path, never touching the remote at all.
-        from repro.service.remote import (
-            RemoteStore,
-            is_remote_spec,
-            parse_route,
-        )
-        from repro.service.replication import ReplicatedStore
+        from repro.service.remote import parse_routes
 
-        routes = [part.strip() for part in root.split(",") if part.strip()]
-        if not all(is_remote_spec(r) for r in routes):
-            raise StoreVersionError(
-                f"mixed store spec {root!r}: every entry of a remote "
-                f"routing table must be remote://host:port"
-            )
+        try:
+            routes = parse_routes(root)  # replicas and ?params both validate
+        except ValueError as exc:
+            raise StoreVersionError(f"bad store spec {root!r}: {exc}") from exc
         if max_entries is not None:
             raise StoreVersionError(
                 "--max-entries applies to the store server's own store, "
                 "not to a remote:// client"
             )
-        for route in routes:
-            try:
-                parse_route(route)  # replicas and ?params both validate
-            except ValueError as exc:
-                raise StoreVersionError(
-                    f"bad route {route!r} in store spec: {exc}"
-                ) from exc
         if len(routes) == 1 and (shards is None or shards == 1):
-            replicas, params = parse_route(routes[0])
-            if len(replicas) > 1 or "w" in params:
-                return ReplicatedStore(routes[0], perf=perf)
-            return RemoteStore(routes[0], perf=perf)
+            return _route_store(routes[0], perf)
         return ShardedStore(routes=routes, expected_shards=shards, perf=perf)
     if is_sharded(root):
         return ShardedStore(

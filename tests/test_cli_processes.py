@@ -1,0 +1,217 @@
+"""The CLI as real processes: exit codes, announce lines and stdout.
+
+Most of tier-1 drives the service in-process. These tests run
+``python -m repro`` children the way an operator does: each binds port 0
+and announces its address as a JSON line on stdout, and every wait is
+bounded. They check what only a real process shows: that a fleet of
+``repro store serve`` + ``repro serve --workers remote`` + ``repro
+worker`` solves each group once, serves repeats from the store and shuts
+down cleanly with exit 0 everywhere; that ``repro store stats`` prints
+its totals and tables; that ``repro dashboard`` exits 0 on SIGINT; and
+that the batched GRAPE lane reports its perf names through the process
+backend.
+"""
+
+import json
+import os
+import queue
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import urllib.request
+
+import pytest
+
+import repro
+from repro.service import CompileService, PulseStore, StoreServer
+from repro.utils.config import PipelineConfig
+from repro.workloads import qft
+
+WAIT_S = 60.0
+ENV = dict(
+    os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__))
+)
+
+
+class _Child:
+    """One ``python -m repro`` process. stdout lines land on a queue, so
+    every read has a timeout; stderr goes to a log quoted on failure."""
+
+    def __init__(self, log_path, args):
+        self.log_path = log_path
+        with open(log_path, "w") as log:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", *args],
+                env=ENV, stdout=subprocess.PIPE, stderr=log, text=True,
+            )
+        self.lines = queue.Queue()
+        threading.Thread(target=self._pump, daemon=True).start()
+
+    def _pump(self):
+        for line in self.proc.stdout:
+            self.lines.put(line)
+        self.lines.put(None)
+
+    def log(self):
+        with open(self.log_path) as handle:
+            return handle.read()
+
+    def line(self):
+        """The next stdout line as JSON."""
+        try:
+            line = self.lines.get(timeout=WAIT_S)
+        except queue.Empty:
+            raise AssertionError(f"no stdout line in {WAIT_S}s:\n{self.log()}")
+        assert line is not None, f"exited before printing:\n{self.log()}"
+        return json.loads(line)
+
+    def wait(self):
+        return self.proc.wait(timeout=WAIT_S)
+
+
+@pytest.fixture
+def spawn(tmp_path):
+    children = []
+
+    def start(name, *args):
+        child = _Child(tmp_path / f"{name}.log", args)
+        children.append(child)
+        return child
+
+    yield start
+    for child in children:
+        if child.proc.poll() is None:
+            child.proc.kill()
+            child.proc.wait()
+
+
+def _repro(*args):
+    """Run one ``python -m repro`` command to completion."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=ENV, capture_output=True, text=True, timeout=WAIT_S,
+    )
+
+
+def _ask(address, payloads):
+    """Send each payload on its own connection before reading any answer,
+    so the requests are in flight together; answers in payload order."""
+    host, port = address.rsplit(":", 1)
+    socks = [
+        socket.create_connection((host, int(port)), timeout=WAIT_S)
+        for _ in payloads
+    ]
+    try:
+        for sock, payload in zip(socks, payloads):
+            sock.sendall((json.dumps(payload) + "\n").encode())
+        return [json.loads(sock.makefile().readline()) for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+def test_remote_fleet_serves_from_store_and_exits_clean(tmp_path, spawn):
+    """Store server, front door and one worker as three processes: two
+    racing clients cause one solve per group, later requests solve
+    nothing, and every process exits 0 on its shutdown verb."""
+    expected = CompileService(
+        PulseStore(str(tmp_path / "ref")),
+        PipelineConfig(policy_name="map2b4l"),
+        backend="serial",
+    ).submit_batch([qft(5)]).n_compiled
+    root = str(tmp_path / "pulses")
+
+    store = spawn("store", "store", "serve", "--root", root, "--port", "0")
+    store_addr = store.line()["serving"]
+    server = spawn(
+        "serve", "serve", "--store", f"remote://{store_addr}",
+        "--workers", "remote", "--port", "0",
+        "--max-batch", "1", "--window-ms", "0",
+    )
+    fabric_addr = server.line()["workers"]
+    serve_addr = server.line()["serving"]
+    worker = spawn("worker", "worker", "--connect", fabric_addr)
+
+    request = {"name": "qft_5"}
+    first = _ask(serve_addr, [dict(request, id="a"), dict(request, id="b")])
+    assert all(r["ok"] for r in first), first
+    assert sum(r["compiled_groups"] for r in first) == expected > 0
+    racing = _ask(serve_addr, [dict(request, id="c"), dict(request, id="d")])
+    alone = _ask(serve_addr, [dict(request, id="e")])
+    for answer in racing + alone:
+        assert answer["ok"], answer
+        assert answer["compiled_groups"] == 0, answer
+        assert answer["store"]["degraded"] == 0, answer
+    # A lone request covers every group with its own store read. One of a
+    # racing pair may wait on its twin's read instead: those groups count
+    # as coalesced, not covered.
+    assert alone[0]["coverage_rate"] == 1.0, alone
+
+    _ask(serve_addr, [{"cmd": "shutdown"}])
+    assert server.wait() == 0, server.log()
+    # the worker sees the fabric hang up, reports its parts and exits 0
+    assert worker.wait() == 0, worker.log()
+    assert worker.line()["parts"] > 0
+    assert _ask(store_addr, [{"op": "shutdown"}])[0]["ok"]
+    assert store.wait() == 0, store.log()
+
+    # every unique group reached the store server's disk
+    stats = _repro("store", "stats", "--store", root, "--json")
+    assert stats.returncode == 0, stats.stderr
+    assert json.loads(stats.stdout)["entries"] == first[0]["n_unique"]
+    table = _repro("store", "stats", "--store", root)
+    assert table.returncode == 0, table.stderr
+    assert f"repro store stats — {root}:" in table.stdout
+    assert "merged:" in table.stdout
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals only")
+def test_dashboard_exits_zero_on_sigint(tmp_path, spawn):
+    server = StoreServer(PulseStore(str(tmp_path / "store"))).start()
+    try:
+        # A child inherits an ignored SIGINT (a run started as a shell's
+        # background job ignores it), and Python then raises no
+        # KeyboardInterrupt. While a handler is installed here, exec
+        # resets the child's SIGINT to the default instead.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            dash = spawn(
+                "dashboard", "dashboard", "--store",
+                f"remote://{server.address}", "--port", "0",
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        address = dash.line()["dashboard"]
+        health = urllib.request.urlopen(
+            f"http://{address}/healthz", timeout=WAIT_S
+        ).read()
+        assert json.loads(health) == {"ok": True}
+        dash.proc.send_signal(signal.SIGINT)
+        assert dash.wait() == 0, dash.log()
+    finally:
+        server.stop()
+
+
+def test_batched_grape_lane_reports_through_process_backend(tmp_path):
+    """``--engine grape-batched --backend process``: the perf block names
+    the batched solve stage and counts at least one same-class bucket."""
+    result = _repro(
+        "batch", "qft_4", "--store", str(tmp_path / "store"),
+        "--engine", "grape-batched", "--backend", "process",
+        "--workers", "2", "--json",
+    )
+    assert result.returncode == 0, result.stderr
+    perf = json.loads(result.stdout)["perf"]
+    stages = [stage["name"] for stage in perf["stages"]]
+    assert any(
+        name.startswith("execute.worker") and name.endswith(".solve.batched")
+        for name in stages
+    ), stages
+    buckets = sum(
+        value for name, value in perf["counters"].items()
+        if name.startswith("execute.worker")
+        and name.endswith(".grape.batched.buckets")
+    )
+    assert buckets >= 1, perf["counters"]

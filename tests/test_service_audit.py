@@ -220,6 +220,7 @@ def test_replica_divergence_then_unreachable(tmp_path, entries):
         assert len(replicas) == 2
         assert {r["entries"] for r in replicas} == {len(entries), 0}
         assert exit_code_for(findings) == 5
+        assert exit_code_for(findings, "critical") == 0  # gated below
 
         # Heal by hand and the same spec audits clean.
         store_b.put_many(entries)
@@ -377,6 +378,7 @@ def test_dashboard_serves_stats_metrics_and_findings(tmp_path, entries):
 
         metrics = fetch("/metrics").decode()
         assert 'repro_store_up{target="shard-0/replica-0"} 1' in metrics
+        assert 'repro_store_up{target="shard-0/replica-1"} 1' in metrics
         assert "repro_store_entries" in metrics
         assert "repro_store_puts_total" in metrics
         assert "repro_dashboard_polls_total" in metrics

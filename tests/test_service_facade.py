@@ -18,6 +18,7 @@ from repro.service.protocol import (
     request_circuit,
     resolve_program,
 )
+from repro.service.sharding import load_shard_map
 from repro.utils.config import PipelineConfig
 from repro.workloads import build_named, qft
 
@@ -348,21 +349,26 @@ def test_collect_programs(tmp_path):
 
 
 def test_cmd_batch_json_twice(tmp_path, capsys):
-    """The CI smoke contract: second run against the same store is a 100%
-    cache hit with zero compiles."""
-    args = [
-        "qft_4", "--store", str(tmp_path / "store"),
-        "--workers", "2", "--backend", "serial", "--json",
-    ]
-    assert cmd_batch(args) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert first["compiled_groups"] + first["n_trivial"] == first["n_unique"]
-    assert cmd_batch(args) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert second["compiled_groups"] == 0
-    assert second["n_trivial"] == 0
-    assert second["batch_coverage_rate"] == 1.0
-    assert second["store"]["hit_rate"] == 1.0
+    """The warm-store contract through the CLI: the second run against the
+    same store is a 100% cache hit with zero compiles and zero writes —
+    on a single-directory store, and on the store a first run with
+    ``--shards 4`` creates (the second run finds its shard map unasked)."""
+    for name, shards in (("store", []), ("sharded", ["--shards", "4"])):
+        args = [
+            "qft_4", "--store", str(tmp_path / name),
+            "--workers", "2", "--backend", "serial", "--json",
+        ]
+        assert cmd_batch(args + shards) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert first["compiled_groups"] + first["n_trivial"] == first["n_unique"]
+        assert cmd_batch(args) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert second["compiled_groups"] == 0
+        assert second["n_trivial"] == 0
+        assert second["batch_coverage_rate"] == 1.0
+        assert second["store"]["hit_rate"] == 1.0
+        assert second["store"]["puts"] == 0
+    assert load_shard_map(str(tmp_path / "sharded"))["n_shards"] == 4
 
 
 def test_cmd_batch_unknown_program_clean_error(tmp_path, capsys):

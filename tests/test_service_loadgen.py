@@ -3,14 +3,17 @@ SLO gate exit codes, the run-table writer, and a miniature end-to-end run
 against an in-process async server (2 clients, request-budgeted)."""
 
 import json
+import os
 import random
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.service.loadgen import (
     RUN_TABLE_COLUMNS,
     SCENARIOS,
@@ -86,6 +89,79 @@ def test_poisson_arrivals_rate_and_bounds():
 def test_poisson_arrivals_refuses_bad_rate():
     with pytest.raises(ValueError):
         poisson_arrivals(0.0, 10.0, random.Random(1))
+
+
+def test_client_draws_replay_across_interpreters():
+    """One seed draws the same programs and Poisson offsets for a client in
+    every interpreter, whatever its ``PYTHONHASHSEED``: a run replays.
+
+    The closed and open clients run against a stand-in connection that
+    answers every request at once and records the program asked for.
+    """
+    script = textwrap.dedent(
+        """
+        import json, queue
+        from repro.service import loadgen
+
+        picks, offsets = [], []
+
+        class Connection:
+            def __init__(self):
+                self.replies = queue.Queue()
+            def makefile(self, mode):
+                return self
+            def __enter__(self):
+                return self
+            def __exit__(self, *exc):
+                return False
+            def write(self, line):
+                request = json.loads(line)
+                picks.append(request["name"])
+                reply = {"id": request["id"], "ok": True}
+                self.replies.put(json.dumps(reply).encode() + b"\\n")
+            def flush(self):
+                pass
+            def readline(self):
+                try:
+                    return self.replies.get(timeout=0.2)
+                except queue.Empty:
+                    return b""
+
+        def recorded_arrivals(*args):
+            offsets.extend(arrivals(*args))
+            return list(offsets)
+
+        arrivals = loadgen.poisson_arrivals
+        loadgen.poisson_arrivals = recorded_arrivals
+        loadgen._connect = lambda *args, **kwargs: Connection()
+        scenario = loadgen.Scenario(
+            name="replay", arrival="poisson", rate_rps=20.0, duration_s=1.0
+        )
+        loadgen._closed_client(
+            "", 0, scenario, 0, float("inf"), 6, loadgen._Recorder()
+        )
+        # measure_start 0: every arrival is already due, so nothing sleeps
+        loadgen._open_client("", 0, scenario, 0, 0.0, loadgen._Recorder())
+        print(json.dumps([picks, offsets]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for hash_seed in ("1", "2")
+    ]
+    outputs = []
+    for child in children:
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        outputs.append(json.loads(out))
+    assert outputs[0] == outputs[1]
+    picks, offsets = outputs[0]
+    assert len(picks) == 6 + len(offsets) and offsets
 
 
 # ------------------------------------------------------------- scenario spec
@@ -303,6 +379,7 @@ def test_serve_async_reports_final_stats_on_sigterm(tmp_path):
             "--store", str(tmp_path / "store"),
             "--port", "0",
             "--backend", "serial", "--workers", "1",
+            "--max-queue", "2",
         ],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
@@ -311,6 +388,7 @@ def test_serve_async_reports_final_stats_on_sigterm(tmp_path):
         host, port = serving.rsplit(":", 1)
         stats = server_stats(host, int(port), timeout_s=30.0)
         assert stats["ok"]
+        assert stats["max_queue"] == 2  # the flag reaches the server
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=60)
     finally:

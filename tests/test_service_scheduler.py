@@ -424,9 +424,12 @@ def test_stalled_worker_loses_queued_parts_to_steals(tmp_path, config):
     assert executor.n_reassigned >= 1  # the in-flight part was rescued
     assert executor.n_local_fallback == 0
     assert batch.n_compiled == reference.n_compiled
+    assert batch.total_iterations == reference.total_iterations
     assert _stored_pulses(service.store) == _stored_pulses(serial.store)
     # the stats verb tells the same story, per worker
     assert stats["n_steals"] == executor.n_steals
+    assert stats["parts_queued"] == 0  # nothing stranded
+    assert stats["parts_in_flight"] == 0
     assert sum(r["steals_lost"] for r in stats["workers"].values()) >= 1
     assert sum(r["steals_won"] for r in stats["workers"].values()) >= 1
 

@@ -274,7 +274,7 @@ def test_sharded_and_single_store_produce_bit_identical_pulses(tmp_path):
 
 
 def test_service_batch_twice_on_sharded_store_full_hit(tmp_path):
-    """The CI smoke contract, sharded: run two, second is 100% store hits."""
+    """The warm-store contract, sharded: run two, second is 100% store hits."""
     root = str(tmp_path / "s")
     config = PipelineConfig(policy_name="map2b4l")
     programs = [qft(5), build_named("4gt4-v0")]
@@ -282,6 +282,8 @@ def test_service_batch_twice_on_sharded_store_full_hit(tmp_path):
         open_store(root, shards=4), config, backend="serial", n_workers=2
     ).submit_batch(programs)
     assert cold.n_compiled > 0
+    assert cold.n_compiled + cold.n_trivial == cold.n_unique
+    assert os.path.isfile(os.path.join(root, SHARD_MAP_NAME))
     warm_store = open_store(root)
     warm = CompileService(
         warm_store, config, backend="serial", n_workers=2
@@ -289,7 +291,9 @@ def test_service_batch_twice_on_sharded_store_full_hit(tmp_path):
     assert warm.n_compiled == 0
     assert warm.n_trivial == 0
     assert warm.coverage_rate == 1.0
+    assert warm_store.stats.hit_rate == 1.0
     assert warm_store.stats.puts == 0
+    assert len(warm_store) == cold.n_unique
 
 
 # ---------------------------------------------------------------- hygiene

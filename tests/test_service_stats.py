@@ -1,7 +1,7 @@
 """Store stats shape: the counter JSON every client reads, pinned per backend.
 
-CI shell steps, the dashboard, the fleet audit and loadgen's run table all
-read ``stats.to_dict()``, ``stats_by_shard()`` and ``stats_by_replica()``
+``repro store stats``, the dashboard, the fleet audit and loadgen's run table
+all read ``stats.to_dict()``, ``stats_by_shard()`` and ``stats_by_replica()``
 keys by name. Five backends run the same two batches here; each payload's
 exact ordered key list is asserted, and every counter a store keeps for
 itself is checked against its perf recorder's ``<stat_prefix><field>``
@@ -189,9 +189,11 @@ def test_store_stats_summary_reads_one_snapshot_per_shard(tmp_path, config):
     assert expected[0] > 3
     summary = store_stats_summary(local)
     assert (summary["entries"], summary["non_converged"]) == expected
+    assert summary["n_shards"] == 3
     assert [row["entries"] for row in summary["shards"]] == [
         len(shard) for shard in local.shards
     ]
+    assert sum(row["entries"] for row in summary["shards"]) == expected[0]
 
     servers = [_serve(tmp_path, f"host{i}") for i in range(3)]
     a, b, c = (server.address for server in servers)
