@@ -4,7 +4,8 @@ Regression points (baselines in PERF.md):
 
 * ``small_suite`` batch through the full service — cold store (every group
   solved + persisted) vs warm store (pure store reads, zero solves) — on a
-  single-directory store and on a sharded one (``--shards N``, default 4).
+  single-directory store and on a sharded one (``--shards N``, default 4);
+  plus a warm repeat on the same service, which also skips the front end.
 * the same suite served to N concurrent asyncio clients (one request per
   program) against the line-at-a-time baseline: total solves must match a
   single deduped batch, i.e. micro-batching + coalescing does its job.
@@ -105,6 +106,30 @@ def test_service_batch_warm_store(benchmark, tmp_path):
     print(
         f"\nwarm: {batch.n_unique} unique, 100% store hits, "
         f"wall {batch.wall_time:.2f}s"
+    )
+
+
+def test_service_batch_warm_repeat(benchmark, tmp_path):
+    """Warm repeat on one service: fresh circuit objects for programs the
+    service has already seen skip the front end (memo hits) and the solver
+    (store hits). Counts are asserted; the wall time is only printed."""
+    service = CompileService(
+        PulseStore(str(tmp_path / "repeat")),
+        PipelineConfig(policy_name="map2b4l"),
+        backend="thread",
+        n_workers=4,
+    )
+    service.submit_batch(_suite_programs())
+    programs = _suite_programs()  # same content, new objects
+
+    batch = run_once(benchmark, service.submit_batch, programs)
+    counters = batch.perf.counters
+    assert batch.n_compiled == 0
+    assert counters.get("plan.front_end.hits", 0) == len(programs)
+    assert counters.get("plan.front_end.misses", 0) == 0
+    print(
+        f"\nwarm repeat: {batch.n_unique} unique, {len(programs)} front-end "
+        f"memo hits, wall {batch.wall_time * 1e3:.1f} ms"
     )
 
 

@@ -35,11 +35,19 @@ class _ParamEvaluator(ast.NodeVisitor):
     _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
     def evaluate(self, text: str) -> float:
+        """The expression's value; a QasmError unless it is finite
+        (``1e999``, ``0*1e999``, ``1/0`` and ``pi**10000`` are refused)."""
         try:
             tree = ast.parse(text.strip(), mode="eval")
         except SyntaxError as exc:
             raise QasmError(f"bad parameter expression {text!r}") from exc
-        return self._eval(tree.body)
+        try:
+            value = self._eval(tree.body)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise QasmError(f"parameter {text!r}: {exc}") from exc
+        if not math.isfinite(value):
+            raise QasmError(f"parameter {text!r} is not finite: {value}")
+        return value
 
     def _eval(self, node: ast.AST) -> float:
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):

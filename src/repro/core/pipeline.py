@@ -9,9 +9,10 @@ gate-based baseline concatenates per-gate pulses of the same mapped circuit.
 
 from __future__ import annotations
 
+import threading
 import time
-import weakref
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
@@ -95,6 +96,14 @@ def program_latencies(
     return total_latency, gate_latency
 
 
+#: Front ends one :class:`AccQOC` keeps, least recently used out first.
+#: Room for every program a request can name (the ten named benchmarks and
+#: ``qft_1`` .. ``qft_16``) plus inline QASM.
+FRONT_END_MEMO_SIZE = 64
+
+_MemoEntry = Tuple[FrontEndResult, Tuple[GateGroup, ...]]
+
+
 class AccQOC:
     """The full static/dynamic hybrid workflow."""
 
@@ -109,19 +118,55 @@ class AccQOC:
         self.policy: GroupingPolicy = make_policy(self.config.policy_name)
         self.crosstalk_aware = crosstalk_aware
         self.library = PulseLibrary()
-        self._front_end_cache: Dict[int, FrontEndResult] = {}
-        self._front_end_refs: Dict[int, "weakref.ref[Circuit]"] = {}
+        # (policy, crosstalk flag, n_qubits, gates) -> (front end, groups)
+        self._memo: "OrderedDict[tuple, _MemoEntry]" = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     # -------------------------------------------------------------- front end
     def front_end(self, circuit: Circuit) -> FrontEndResult:
-        # Keyed by id() with a weakref guard: a dead circuit's recycled id
-        # must not serve another circuit's front end, and dead entries are
-        # evicted so a long-lived service does not grow without bound.
-        cache_key = id(circuit)
-        cached = self._front_end_cache.get(cache_key)
-        ref = self._front_end_refs.get(cache_key)
-        if cached is not None and ref is not None and ref() is circuit:
-            return cached
+        """The circuit's front end, from the same memo as :meth:`groups_of`."""
+        return self._lookup(circuit)[0]
+
+    def groups_of(
+        self, circuit: Circuit, perf: Optional[PerfRecorder] = None
+    ) -> Tuple[FrontEndResult, List[GateGroup]]:
+        """The circuit's front end and groups, mapped at most once per content.
+
+        Two circuits with the same gates share one result whatever their
+        names; the groups are shared too (with the matrices and keys they
+        cache), in a fresh list. ``perf``, when given, counts the lookup as
+        ``front_end.hits`` or ``front_end.misses``.
+        """
+        front, groups, hit = self._lookup(circuit)
+        if perf is not None:
+            perf.count("front_end.hits" if hit else "front_end.misses")
+        return front, list(groups)
+
+    def _lookup(
+        self, circuit: Circuit
+    ) -> Tuple[FrontEndResult, Tuple[GateGroup, ...], bool]:
+        """(front end, groups, hit) from the memo, built on a miss.
+
+        A miss is built outside the lock (A* can take seconds); when two
+        threads race on one key, the first to finish is the one kept.
+        Nothing mutates a front end or group after this; a group's lazily
+        cached matrix and key are pure, so a race only computes them twice.
+        """
+        key = (self.policy, self.crosstalk_aware, circuit.n_qubits, tuple(circuit))
+        with self._memo_lock:
+            entry = self._memo.get(key)
+            if entry is not None:
+                self._memo.move_to_end(key)
+                return entry + (True,)
+        built = self._build(circuit)
+        with self._memo_lock:
+            entry = self._memo.setdefault(key, built)
+            self._memo.move_to_end(key)
+            while len(self._memo) > FRONT_END_MEMO_SIZE:
+                self._memo.popitem(last=False)
+        return entry + (False,)
+
+    def _build(self, circuit: Circuit) -> _MemoEntry:
         native = circuit.decompose_to_native()
         topology = topology_for(native.n_qubits)
         mapper = AStarMapper(topology, crosstalk_aware=self.crosstalk_aware)
@@ -132,27 +177,15 @@ class AccQOC:
         gate_based = fix_directions(
             decompose_swaps(mapping.circuit, topology), topology
         )
-        result = FrontEndResult(
+        front = FrontEndResult(
             prepared=prepared,
             gate_based=gate_based,
             mapping=mapping,
             topology=topology,
             crosstalk=crosstalk_metric(prepared, topology),
         )
-        self._front_end_cache[cache_key] = result
-        cache, refs = self._front_end_cache, self._front_end_refs
-
-        def _evict(_ref, key=cache_key):
-            cache.pop(key, None)
-            refs.pop(key, None)
-
-        refs[cache_key] = weakref.ref(circuit, _evict)
-        return result
-
-    def groups_of(self, circuit: Circuit) -> Tuple[FrontEndResult, List[GateGroup]]:
-        front = self.front_end(circuit)
-        groups = group_circuit(front.mapping.circuit, self.policy, front.topology)
-        return front, groups
+        groups = group_circuit(mapping.circuit, self.policy, topology)
+        return front, tuple(groups)
 
     # ------------------------------------------------------------ precompile
     def profile_groups(self, programs: Sequence[Circuit]) -> DedupResult:
@@ -193,7 +226,7 @@ class AccQOC:
         start = time.monotonic()
         perf = PerfRecorder()
         with perf.stage("front_end"):
-            front, groups = self.groups_of(circuit)
+            front, groups = self.groups_of(circuit, perf=perf)
         with perf.stage("dedup"):
             dedup = dedupe_groups(groups)
         with perf.stage("coverage"):

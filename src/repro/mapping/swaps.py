@@ -9,23 +9,30 @@ with neighbouring gates — the effect Sec IV-F/VI-E discusses).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.mapping.topology import Topology
 
 
+@lru_cache(maxsize=None)
 def _cx_with_direction(
     control: int, target: int, topo: Optional[Topology]
-) -> List[Gate]:
-    """A CNOT on physical wires, reversed via four Hadamards if needed."""
+) -> Tuple[Gate, ...]:
+    """A CNOT on physical wires, reversed via four Hadamards if needed.
+
+    Interned per (control, target, device), at most one entry per coupled
+    pair: gates are immutable, so every reversed CNOT of every circuit
+    shares one set of five gate objects.
+    """
     if topo is None or topo.allowed_direction(control, target):
-        return [Gate("cx", (control, target))]
+        return (Gate("cx", (control, target)),)
     if not topo.allowed_direction(target, control):
         raise ValueError(f"qubits {control},{target} are not coupled")
     h = lambda w: Gate("u2", (w,), (0.0, math.pi))  # noqa: E731
-    return [h(control), h(target), Gate("cx", (target, control)), h(control), h(target)]
+    return (h(control), h(target), Gate("cx", (target, control)), h(control), h(target))
 
 
 def decompose_swaps(circuit: Circuit, topology: Optional[Topology] = None) -> Circuit:

@@ -108,8 +108,9 @@ class BatchPlan:
 class CompilePlanner:
     """Plans a batch on a pipeline front end, then cuts its misses' MST.
 
-    ``pipeline`` is duck-typed: it provides ``groups_of(circuit)`` (the
-    :class:`repro.core.pipeline.AccQOC` front end) and an ``engine`` whose
+    ``pipeline`` is duck-typed: it provides ``groups_of(circuit, perf=)``
+    (the :class:`repro.core.pipeline.AccQOC` front end, which counts its
+    memo hits and misses into ``perf``) and an ``engine`` whose
     optional ``iterations`` attribute is the cost model for partition
     balancing (absent — e.g. a bare ``GrapeEngine`` — a unit-cost
     :class:`~repro.core.engines.IterationModel` is used).
@@ -137,11 +138,13 @@ class CompilePlanner:
         circuits = list(circuits)
         fronts = []
         groups_per_program: List[List[GateGroup]] = []
+        lookups = PerfRecorder()  # front_end.hits / front_end.misses
         with self.perf.stage("plan.front_end"):
             for circuit in circuits:
-                front, groups = self.pipeline.groups_of(circuit)
+                front, groups = self.pipeline.groups_of(circuit, perf=lookups)
                 fronts.append(front)
                 groups_per_program.append(groups)
+        self.perf.merge_report(lookups.report(), prefix="plan.")
         with self.perf.stage("plan.dedup"):
             batch = dedupe_batch(groups_per_program)
         trivial: List[GateGroup] = []

@@ -56,6 +56,15 @@ def test_parse_rejects_evil_expression():
         parse_qasm(HEADER + "rz(__import__) q[0];\n")
 
 
+@pytest.mark.parametrize(
+    "expression", ["1e999", "-1e999", "0*1e999", "1/0", "pi**10000"],
+    ids=["inf", "minus_inf", "nan", "zero_division", "overflow"],
+)
+def test_parse_rejects_non_finite_parameter(expression):
+    with pytest.raises(QasmError, match="parameter"):
+        parse_qasm(HEADER + f"rz({expression}) q[0];\n")
+
+
 def test_parse_rejects_multiple_qregs():
     with pytest.raises(QasmError):
         parse_qasm(HEADER + "qreg r[2];\n")

@@ -255,6 +255,30 @@ def test_unplaceable_request_fails_alone(tmp_path, order):
     _run(main())
 
 
+def test_non_finite_qasm_fails_alone(tmp_path):
+    """A QASM parameter that evaluates to inf or NaN is refused at intake
+    with its own typed error; the request sharing its planning window
+    compiles."""
+    bad = "OPENQASM 2.0;\nqreg q[2];\nrz(0*1e999) q[0];\ncx q[0],q[1];\n"
+
+    async def main():
+        service = _service(tmp_path)
+        server = AsyncCompileServer(service, window_s=0.2)
+        tcp, port = await _start(server)
+        responses = await _client(
+            port, [{"id": "good", "name": "qft_4"}, {"id": "bad", "qasm": bad}]
+        )
+        tcp.close()
+        await tcp.wait_closed()
+        await server.close()
+        by_id = {r["id"]: r for r in responses}
+        assert by_id["good"]["ok"] and by_id["good"]["program"] == "qft_4"
+        assert by_id["bad"]["ok"] is False
+        assert by_id["bad"]["error"].startswith("QasmError:")
+
+    _run(main())
+
+
 # -------------------------------------------------------------- coalescing
 class GatedModelEngine(ModelEngine):
     """Blocks every solve until the test opens the gate — makes the

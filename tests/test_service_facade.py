@@ -194,25 +194,45 @@ def test_multi_writer_manifest_merge(tmp_path):
     assert len(reloaded) == 2
 
 
-def test_front_end_cache_evicts_dead_circuits(tmp_path):
-    """The id-keyed front-end cache must not serve a dead circuit's result
-    to a new circuit with a recycled id, nor grow without bound in a
-    long-lived service."""
-    import gc
+def test_front_end_memo_is_content_keyed_and_bounded(tmp_path):
+    """The front-end memo must never serve one circuit's result to a
+    different circuit, and must not grow without bound in a long-lived
+    service: a stream of distinct circuits leaves exactly the bound's worth
+    of entries, least recently used out first."""
+    from repro.circuits import Circuit
+    from repro.core.pipeline import FRONT_END_MEMO_SIZE
+    from repro.perf.instrument import PerfRecorder
 
-    service = _service(tmp_path)
-    circuit = qft(4)
-    service.pipeline.front_end(circuit)
-    key = id(circuit)
-    assert key in service.pipeline._front_end_cache
-    del circuit
-    gc.collect()
-    assert key not in service.pipeline._front_end_cache
-    # a long request stream leaves no residue once circuits are dropped
-    for _ in range(5):
-        service.handle_request(qft(3))
-    gc.collect()
-    assert len(service.pipeline._front_end_cache) == 0
+    pipeline = _service(tmp_path).pipeline
+    a, b = qft(4), qft(4)
+    b.add("rz", 0, params=(0.5,))
+    front_a, front_b = pipeline.front_end(a), pipeline.front_end(b)
+    assert front_a is not front_b
+    assert len(front_b.prepared) > len(front_a.prepared)
+    assert pipeline.front_end(a) is front_a and pipeline.front_end(b) is front_b
+    a.add("rz", 1, params=(0.25,))  # the same object, now different content
+    assert pipeline.front_end(a) is not front_a
+
+    def stream(index):
+        circuit = Circuit(2, name=f"s{index}")
+        circuit.add("rz", 0, params=(0.001 * (index + 1),))
+        circuit.add("cx", 0, 1)
+        return circuit
+
+    extra = 3
+    for index in range(FRONT_END_MEMO_SIZE + extra):
+        pipeline.groups_of(stream(index))
+    assert len(pipeline._memo) == FRONT_END_MEMO_SIZE
+    # Newest first: every survivor hits, so nothing is evicted meanwhile;
+    # then the newest evicted circuit misses.
+    perf = PerfRecorder()
+    for index in reversed(range(extra, FRONT_END_MEMO_SIZE + extra)):
+        pipeline.groups_of(stream(index), perf=perf)
+    pipeline.groups_of(stream(extra - 1), perf=perf)
+    assert perf.counters == {
+        "front_end.hits": FRONT_END_MEMO_SIZE, "front_end.misses": 1,
+    }
+    assert len(pipeline._memo) == FRONT_END_MEMO_SIZE
 
 
 def test_invalid_backend_does_not_strand_claims(tmp_path):

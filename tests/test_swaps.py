@@ -58,3 +58,12 @@ def test_fix_directions_rejects_uncoupled():
 def test_count_swaps():
     c = Circuit(3).add("swap", 0, 1).add("h", 2).add("swap", 1, 2)
     assert count_swaps(c) == 2
+
+
+def test_reversed_cnot_gates_are_interned():
+    """Every reversed CNOT on one device pair reuses the same five gates,
+    whichever circuit (and equal Topology instance) asks."""
+    a = fix_directions(Circuit(2).add("cx", 1, 0), line(2))
+    b = decompose_swaps(Circuit(2).add("swap", 0, 1), line(2))
+    assert [g.name for g in a] == ["u2", "u2", "cx", "u2", "u2"]
+    assert all(x is y for x, y in zip(a, list(b)[1:6]))
