@@ -1,4 +1,4 @@
-"""Batched multi-pulse GRAPE vs the serial part loop (PERF.md table).
+"""Batched multi-pulse GRAPE vs the serial part loop (table printed under -s).
 
 One worker, one part of K same-solve-class groups, compiled twice: the
 serial bit-identity oracle (``run_part`` default) vs the opt-in batched

@@ -1,6 +1,9 @@
 """Batch-service throughput: cold vs warm store, shards, async, workers.
 
-Regression points (baselines in PERF.md):
+Regression points. Each test prints its numbers under ``-s``; none is
+copied into PERF.md, whose "Design notes behind the service benches" say
+what they establish. End-to-end before/after numbers are accbench pairs,
+committed as ``BENCH_pr<N>.json``.
 
 * ``small_suite`` batch through the full service — cold store (every group
   solved + persisted) vs warm store (pure store reads, zero solves) — on a
@@ -18,16 +21,16 @@ Regression points (baselines in PERF.md):
 * ``--remote``: the same suite through the full distributed fabric — a
   ``StoreServer`` + ``RemoteStore`` for persistence and a
   ``RemoteExecutor`` + two workers for solving, all over loopback TCP —
-  against the all-local baseline. Quantifies the wire tax (PERF.md row)
-  and asserts the warm remote run is a 100% remote-store hit with pulses
+  against the all-local baseline. Quantifies the wire tax and asserts
+  the warm remote run is a 100% remote-store hit with pulses
   bit-identical to the local run. Also under ``--remote``: batched
   ``get_many`` vs per-key reads, replicated failover reads, and the
-  anti-entropy idle-round cost / heal throughput (PERF.md rows).
+  anti-entropy idle-round cost / heal throughput.
 
 * ``--loadgen``: the clients x shards x workers scaling sweep through the
   load harness (``repro.service.loadgen``): each cell drives an in-process
   async server with N closed-loop clients for a fixed window and reports
-  ``throughput_rps`` / ``p95_latency_ms`` — the PERF.md scaling table. The
+  ``throughput_rps`` / ``p95_latency_ms`` as a scaling table. The
   harness's wrong-answer detector runs in every cell (zero tolerated).
 
 Run:  pytest benchmarks/bench_service_throughput.py --benchmark-only -s
@@ -170,10 +173,10 @@ def test_service_batch_sharded_store(benchmark, tmp_path, shards):
 def test_service_async_clients(benchmark, tmp_path, shards):
     """Async front door: the suite as concurrent clients vs line-at-a-time.
 
-    Throughput point for PERF.md: N clients connect at once, the planning
-    window folds their requests into few batches, and the total solve count
-    equals one deduped batch — strictly fewer than the same requests served
-    sequentially against per-request cold stores (no amortization).
+    N clients connect at once, micro-batching folds their requests into
+    few batches, and the total solve count equals one deduped batch —
+    strictly fewer than the same requests served sequentially against
+    per-request cold stores (no amortization).
     """
     programs = _suite_programs()
     config = PipelineConfig(policy_name="map2b4l")
@@ -241,7 +244,7 @@ def test_service_async_clients(benchmark, tmp_path, shards):
 def test_service_remote_fabric(benchmark, tmp_path, remote_mode):
     """--remote: suite batch through store server + worker fabric (loopback).
 
-    The PERF.md regression point for the distributed path: cold batch via
+    The regression point for the distributed path: cold batch via
     RemoteStore + RemoteExecutor (2 workers) vs the all-local thread
     baseline, plus the warm remote pass (pure wire reads). The wire tax is
     the cold overhead over local; correctness gates are bit-identical
@@ -328,7 +331,7 @@ def test_service_remote_fabric(benchmark, tmp_path, remote_mode):
 
 
 def test_remote_batched_reads(benchmark, tmp_path, remote_mode):
-    """--remote: batched get_many vs per-key get round trips (PERF.md row).
+    """--remote: batched get_many vs per-key get round trips.
 
     The per-key ``store.remote.rpc`` round trip is the dominant wire tax of
     the remote store; ``get_many`` answers a whole key list in one
@@ -389,7 +392,7 @@ def test_remote_batched_reads(benchmark, tmp_path, remote_mode):
 def test_replicated_store_failover_reads(benchmark, tmp_path, remote_mode):
     """--remote: 2-replica store, primary killed, warm batch from survivor.
 
-    The failover-read regression point (PERF.md row): a cold suite batch
+    The failover-read regression point: a cold suite batch
     fans writes to both replicas bit-identically; with the primary dead the
     same batch is still a 100% hit — every read costs one counted failover
     probe against the dead primary plus the survivor's answer."""
@@ -438,7 +441,7 @@ def test_replicated_store_failover_reads(benchmark, tmp_path, remote_mode):
 
 
 def test_antientropy_idle_and_heal(benchmark, tmp_path, remote_mode):
-    """--remote: anti-entropy idle cost and heal throughput (PERF.md rows).
+    """--remote: anti-entropy idle cost and heal throughput.
 
     Two numbers an operator sizes ``--anti-entropy-interval`` with: what a
     round costs once the fleet has converged (one constant-size
@@ -551,7 +554,7 @@ def test_loadgen_scaling_sweep(benchmark, tmp_path, loadgen_mode):
     Every cell is one short closed-loop run of the ``qft-small`` traffic
     mix against a fresh in-process async server — cold at the start of
     the window, warm by the end, the way real traffic ramps. The printed
-    table is the PERF.md scaling section; the correctness gates are the
+    table is the scaling curve; the correctness gates are the
     harness's own (every request answered, zero wrong answers)."""
     from repro.service.loadgen import InProcessServer, Scenario, drive, percentile
     from repro.service import open_store
@@ -668,7 +671,7 @@ def _simulated_worker(spec, per_task_s, stop):
 
 def test_scheduler_worker_sweep(benchmark, tmp_path, scheduler_mode):
     """--scheduler: the suite batch over the fabric at 1/2/4 workers x
-    parts-per-worker 1/2 (PERF.md table). Every cell must produce the
+    parts-per-worker 1/2 (printed as a table). Every cell must produce the
     serial result — the scheduler moves parts, never bytes — with zero
     local fallbacks; the wall column shows what reservation depth buys
     once dispatch latency can hide behind compute."""

@@ -47,7 +47,7 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="run the loadgen-backed clients x shards x workers scaling "
-             "sweep (the PERF.md scaling table; "
+             "sweep (printed as a table; "
              "bench_service_throughput.py)",
     )
 

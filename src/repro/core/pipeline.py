@@ -23,7 +23,8 @@ from repro.core.precompile import PrecompileReport, StaticPrecompiler
 from repro.grouping.dedup import DedupResult, dedupe_groups, merge_dedups
 from repro.grouping.group import GateGroup
 from repro.grouping.policies import GroupingPolicy, group_circuit, make_policy, prepare_circuit
-from repro.latency.schedule import overall_latency
+from repro.latency.gate_latency import GateLatencyTable
+from repro.latency.schedule import GroupSchedule
 from repro.mapping.astar import AStarMapper, MappingResult
 from repro.mapping.crosstalk import crosstalk_metric
 from repro.mapping.topology import Topology, topology_for
@@ -48,6 +49,12 @@ class FrontEndResult:
     mapping: MappingResult
     topology: Topology
     crosstalk: int  # close-CNOT-pair metric of the prepared circuit
+    # Priced once per front end, so a warm request runs only the ASAP pass:
+    # Algorithm 3's group DAG over ``prepared`` and the front end's groups,
+    # and the gate-based latency under ``gate_table``.
+    schedule: GroupSchedule
+    gate_table: GateLatencyTable
+    gate_based_latency: float
 
 
 @dataclass
@@ -88,11 +95,19 @@ def program_latencies(
     ``latencies`` maps canonical group keys to pulse latencies; every group of
     the program must be priced. Shared by :meth:`AccQOC.compile` and the batch
     compilation service, which assembles ``latencies`` from its disk store.
+    The front end's group DAG and gate-based latency are reused when
+    ``groups`` are its own groups and ``engine`` has its gate table; any
+    other input is priced from scratch, to the same bits.
     """
-    total_latency = overall_latency(
-        front.prepared, list(groups), lambda g: latencies[g.key()]
-    )
-    gate_latency = engine.gate_table().circuit_latency(front.gate_based)
+    schedule = front.schedule
+    if not schedule.is_for(groups):
+        schedule = GroupSchedule.build(front.prepared, groups)
+    total_latency = schedule.overall_latency(lambda g: latencies[g.key()])
+    table = engine.gate_table()
+    if table == front.gate_table:
+        gate_latency = front.gate_based_latency
+    else:
+        gate_latency = table.circuit_latency(front.gate_based)
     return total_latency, gate_latency
 
 
@@ -177,15 +192,19 @@ class AccQOC:
         gate_based = fix_directions(
             decompose_swaps(mapping.circuit, topology), topology
         )
+        groups = tuple(group_circuit(mapping.circuit, self.policy, topology))
+        table = self.engine.gate_table()
         front = FrontEndResult(
             prepared=prepared,
             gate_based=gate_based,
             mapping=mapping,
             topology=topology,
             crosstalk=crosstalk_metric(prepared, topology),
+            schedule=GroupSchedule.build(prepared, groups),
+            gate_table=table,
+            gate_based_latency=table.circuit_latency(gate_based),
         )
-        groups = group_circuit(mapping.circuit, self.policy, topology)
-        return front, tuple(groups)
+        return front, groups
 
     # ------------------------------------------------------------ precompile
     def profile_groups(self, programs: Sequence[Circuit]) -> DedupResult:

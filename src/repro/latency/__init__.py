@@ -5,12 +5,18 @@ from repro.latency.gate_latency import (
     GateLatencyTable,
     build_gate_latency_table,
 )
-from repro.latency.schedule import group_dag, overall_latency, per_group_start_times
+from repro.latency.schedule import (
+    GroupSchedule,
+    group_dag,
+    overall_latency,
+    per_group_start_times,
+)
 
 __all__ = [
     "GateLatencyTable",
     "build_gate_latency_table",
     "MELBOURNE_HARDWARE_TABLE",
+    "GroupSchedule",
     "group_dag",
     "overall_latency",
     "per_group_start_times",

@@ -8,6 +8,7 @@ adding the largest latency of its predecessors to the latency of itself."
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
@@ -58,23 +59,49 @@ def group_dag(
     return order, predecessors
 
 
-def _asap(
-    circuit: Circuit,
-    groups: Sequence[GateGroup],
-    latency_of: Callable[[GateGroup], float],
-) -> Tuple[List[float], List[float]]:
-    """(start, finish) time of each group under Algorithm 3's schedule.
+@dataclass(frozen=True)
+class GroupSchedule:
+    """The group DAG of one group list, built once and priced many times.
 
-    Each finish time is a max over predecessors plus one add, so the result
-    is bit-identical in any topological order.
+    The DAG depends only on the circuit and the groups, not on their
+    latencies, so a caller that prices one program again and again (the
+    service, as its store fills) builds it once and pays only the
+    O(groups) ASAP pass per pricing.
     """
-    order, predecessors = group_dag(circuit, groups)
-    start = [0.0] * len(groups)
-    finish = [0.0] * len(groups)
-    for gid in order:
-        start[gid] = max((finish[p] for p in predecessors[gid]), default=0.0)
-        finish[gid] = start[gid] + latency_of(groups[gid])
-    return start, finish
+
+    groups: Tuple[GateGroup, ...]
+    order: List[int]
+    predecessors: List[List[int]]
+
+    @classmethod
+    def build(cls, circuit: Circuit, groups: Sequence[GateGroup]) -> "GroupSchedule":
+        groups = tuple(groups)
+        return cls(groups, *group_dag(circuit, groups))
+
+    def is_for(self, groups: Sequence[GateGroup]) -> bool:
+        """Whether ``groups`` are the very groups, in order, it was built for."""
+        return len(groups) == len(self.groups) and all(
+            a is b for a, b in zip(groups, self.groups)
+        )
+
+    def asap(
+        self, latency_of: Callable[[GateGroup], float]
+    ) -> Tuple[List[float], List[float]]:
+        """(start, finish) time of each group under Algorithm 3's schedule.
+
+        Each finish time is a max over predecessors plus one add, so the
+        result is bit-identical in any topological order.
+        """
+        start = [0.0] * len(self.groups)
+        finish = [0.0] * len(self.groups)
+        for gid in self.order:
+            start[gid] = max((finish[p] for p in self.predecessors[gid]), default=0.0)
+            finish[gid] = start[gid] + latency_of(self.groups[gid])
+        return start, finish
+
+    def overall_latency(self, latency_of: Callable[[GateGroup], float]) -> float:
+        """Algorithm 3: longest until-this-step latency over the group DAG."""
+        return max(self.asap(latency_of)[1], default=0.0)
 
 
 def overall_latency(
@@ -83,7 +110,7 @@ def overall_latency(
     latency_of: Callable[[GateGroup], float],
 ) -> float:
     """Algorithm 3: longest until-this-step latency over the group DAG."""
-    return max(_asap(circuit, groups, latency_of)[1], default=0.0)
+    return GroupSchedule.build(circuit, groups).overall_latency(latency_of)
 
 
 def per_group_start_times(
@@ -92,4 +119,4 @@ def per_group_start_times(
     latency_of: Callable[[GateGroup], float],
 ) -> List[float]:
     """ASAP start time of each group under Algorithm 3's schedule."""
-    return _asap(circuit, groups, latency_of)[0]
+    return GroupSchedule.build(circuit, groups).asap(latency_of)[0]

@@ -148,8 +148,9 @@ the replicas are down; ``all`` refuses any replica lag. Watch
 *Anti-entropy tuning*: the interval bounds how long a revived replica
 lags (convergence within ~2 rounds); each idle round costs one
 constant-size ``keys_digest`` probe per peer, so size the interval to
-taste — 5 s is fine for thousands of entries (see PERF.md for measured
-idle cost and heal throughput). Rounds are jittered to 50–100% of the
+taste — 5 s is fine for thousands of entries
+(``bench_service_throughput.py --remote`` prints the idle cost and heal
+throughput). Rounds are jittered to 50–100% of the
 interval so a fleet never exchanges digests in lockstep. Each round is
 the same :func:`~repro.service.replication.reconcile` that ``repro store
 repair`` runs once on demand. Pause/resume/on-demand-heal over
@@ -290,9 +291,10 @@ Front door
 ----------
 ``repro serve`` is the asyncio server
 (:class:`~repro.service.asyncserve.AsyncCompileServer`) on stdin/stdout, or
-on TCP with ``--port``: requests from many clients are micro-batched within
-a planning window, solved concurrently in executor threads, coalesced
-across batches, and answered out of order (correlated by request id).
+on TCP with ``--port``: requests from many clients are micro-batched (an
+idle server dispatches at once, a busy one gathers arrivals for a planning
+window), solved concurrently in executor threads, coalesced across
+batches, and answered out of order (correlated by request id).
 ``repro batch`` compiles a workload list as one batch; ``repro store``
 administers a store directory (stats / reshard / revalidate / repair /
 audit); ``repro dashboard`` serves the live fleet page. See

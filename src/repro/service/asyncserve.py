@@ -7,14 +7,21 @@ see many requests and clients at once:
 * **Concurrent parsing** — every connection (TCP) or the stdin pipe feeds
   request lines into one queue as they arrive; protocol errors answer
   immediately without touching the compile path.
-* **Micro-batching** — a batcher task collects requests for a short
-  *planning window* (``window_s``, default 25 ms) or until ``max_batch``
-  and submits them as one :meth:`~repro.service.service.CompileService.
+* **Micro-batching** — a batcher task submits queued requests, up to
+  ``max_batch``, as one :meth:`~repro.service.service.CompileService.
   submit_batch` call: requests that arrive together dedupe against each
-  other at the planner, exactly like a ``repro batch`` workload list.
+  other at the planner, exactly like a ``repro batch`` workload list. An
+  idle server dispatches what is queued at once; only while another batch
+  is in flight does it gather arrivals for a short *planning window*
+  (``window_s``, default 25 ms) first, since only then can more requests
+  join. (PostgreSQL's ``commit_delay`` follows the same rule: it sleeps
+  only when ``commit_siblings`` other transactions are active.) So a lone
+  request never waits for the window, and two requests share an idle
+  server's batch only if both are queued when it dispatches, e.g. two
+  lines in one write.
 * **Overlap** — each batch runs in a worker thread
   (``loop.run_in_executor``), so the event loop keeps parsing and the next
-  window keeps filling while prior solves are still running. Up to
+  batch keeps filling while prior solves are still running. Up to
   ``max_inflight`` batches execute concurrently; concurrent batches racing
   for the same key coalesce through the service's shared
   :class:`~repro.service.executor.GroupCoalescer` — one solve, every
@@ -38,8 +45,9 @@ see many requests and clients at once:
   every batch (and shed pressure lands on the flooder, whose backlog is
   what fills the bounded queue).
 
-Queue time is recorded per request under ``serve.queue_wait`` (the window
-plus any backpressure from ``max_inflight``), batch sizes under
+Queue time is recorded per request under ``serve.queue_wait`` (the window,
+when the server was busy, plus any backpressure from ``max_inflight``),
+batch sizes under
 ``serve.batch_requests`` — both visible in ``repro perf``-style reports
 via the server's :class:`~repro.perf.instrument.PerfRecorder`.
 
@@ -204,14 +212,14 @@ class AsyncCompileServer:
         except ProtocolError as exc:
             await self._refuse(client, str(exc), line)
             return
-        if request.is_command:
-            await self._handle_command(request, client)
-            return
         if not request.id:
             # Bump only when an id is actually assigned, so auto-id
             # numbering is dense and matches the auto-assigned count.
             self._next_id += 1
             assign_request_id(request, self._next_id)
+        if request.is_command:
+            await self._handle_command(request, client)
+            return
         if (
             self.max_queue is not None
             and self._pending_count >= self.max_queue
@@ -357,13 +365,17 @@ class AsyncCompileServer:
             await self._have_work.wait()
             await self._sem.acquire()
             deadline = loop.time() + self.window_s
-            while self._pending_count < self.max_batch:
+            # Wait only while another batch runs: its arrivals then dedupe
+            # and coalesce as one batch. An idle server has no company to
+            # wait for, so it dispatches what is queued at once.
+            while self._batch_tasks and self._pending_count < self.max_batch:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break
                 # Bounded naps instead of one long sleep: a burst that
-                # fills the window early dispatches without waiting it out.
-                await asyncio.sleep(min(0.005, max(remaining, 0.0)))
+                # fills the window, or a running batch that finishes,
+                # ends the wait early.
+                await asyncio.sleep(min(0.005, remaining))
             batch = self._assemble(self.max_batch)
             if self._pending_count == 0:
                 self._have_work.clear()
@@ -429,7 +441,9 @@ class AsyncCompileServer:
                     *list(self._batch_tasks), return_exceptions=True
                 )
             else:
-                await asyncio.sleep(0.005)  # batcher still inside its window
+                # Queued but not dispatched yet: the batcher takes it on its
+                # next turn (an idle server does not wait out the window).
+                await asyncio.sleep(0.005)
 
     def hang_up(self) -> None:
         """Close every live client connection (server-initiated shutdown).

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import threading
@@ -222,8 +223,9 @@ def cmd_serve(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--window-ms", type=float, default=25.0,
-        help="planning window: requests arriving within this many ms are "
-             "planned as one batch",
+        help="planning window, used only while another batch is in flight: "
+             "requests arriving within this many ms are planned as one "
+             "batch (an idle server dispatches at once)",
     )
     parser.add_argument(
         "--max-batch", type=int, default=16,
@@ -242,6 +244,16 @@ def cmd_serve(argv: Sequence[str]) -> int:
              "without bound (default: unbounded)",
     )
     args = parser.parse_args(argv)
+    # Checked before _make_service, which creates the store on disk.
+    for flag, value in (
+        ("--max-batch", args.max_batch),
+        ("--inflight", args.inflight),
+        ("--max-queue", args.max_queue),
+    ):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
+    if not (math.isfinite(args.window_ms) and args.window_ms >= 0):
+        parser.error(f"--window-ms must be >= 0, got {args.window_ms}")
     try:
         service = _make_service(args)
     except StoreVersionError as exc:

@@ -278,8 +278,8 @@ class AntiEntropyLoop:
     sets) full ``keys`` exchange plus O(difference) entry payloads — so a
     converged fleet's idle round is a constant-size frame per peer
     however many entries it holds (``digest_skips`` counts these
-    short-circuits; see PERF.md for measured idle cost and heal
-    throughput).
+    short-circuits; ``bench_service_throughput.py --remote`` prints the
+    idle cost and heal throughput).
     """
 
     def __init__(

@@ -1,0 +1,59 @@
+"""``benchmarks/benchdiff.py`` reads a committed claim back from its pairs."""
+
+import importlib.util
+import json
+import os
+import re
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "BENCH_pr18.json")
+CLAIM = ["--claim", "remote-churn:req_p50_ms"]
+
+
+@pytest.fixture(scope="module")
+def benchdiff():
+    spec = importlib.util.spec_from_file_location(
+        "benchdiff", os.path.join(ROOT, "benchmarks", "benchdiff.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _block(out, name):
+    """The lines of one workload-and-seed block of the report."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(name + " "))
+    end = next(
+        (i for i in range(start + 1, len(lines)) if not lines[i].startswith("  ")),
+        len(lines),
+    )
+    return lines[start:end]
+
+
+def test_committed_claim_is_met(benchdiff, capsys):
+    assert benchdiff.main([BENCH] + CLAIM) == 0
+    out = capsys.readouterr().out
+    (line,) = [l for l in _block(out, "remote-churn seed 1") if "req_p50_ms" in l]
+    assert re.search(r"111\.8 \[[\d., ]+\] -> 37\.9 \[[\d., ]+\] ms .* wins 10/10\s+claim met", line)
+
+
+def test_unresolved_metric_is_a_warning(benchdiff, capsys):
+    assert benchdiff.main([BENCH] + CLAIM + ["--fail-on", "warn"]) == 4
+    (line,) = [
+        l for l in _block(capsys.readouterr().out, "cold-grape seed 1")
+        if l.split()[0] == "setup_s"
+    ]
+    assert line.endswith("unresolved")
+
+
+def test_incorrect_run_is_critical(benchdiff, tmp_path, capsys):
+    with open(BENCH) as handle:
+        bench = json.load(handle)
+    bench["pairs"][0]["change"]["result"]["correct"] = False
+    broken = tmp_path / "BENCH_broken.json"
+    broken.write_text(json.dumps(bench))
+    assert benchdiff.main([str(broken)] + CLAIM) == 6
+    assert "correct NO" in capsys.readouterr().out

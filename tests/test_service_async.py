@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.core.engines import ModelEngine
+from repro.perf.instrument import PerfRecorder
 from repro.service.asyncserve import AsyncCompileServer
 from repro.service.protocol import MAX_LINE_BYTES, CompileRequest, assign_request_id
 from repro.service.service import CompileService
@@ -102,6 +103,38 @@ def test_commands_protocol_errors_and_unknown_names(tmp_path):
         await server.close()
 
     _run(main())
+
+
+def test_id_less_commands_get_dense_auto_ids(tmp_path):
+    """A command without an id gets an ``auto<n>`` id like a compile does,
+    from the same dense counter, so an out-of-order client can match it."""
+
+    async def main():
+        service = _service(tmp_path)
+        server = AsyncCompileServer(service, window_s=0.0)
+        tcp, port = await _start(server)
+        commands = await _client(port, [{"cmd": "stats"}, {"cmd": "nope"}, {"cmd": "quit"}])
+        compiled = await _client(port, [{"name": "qft_3"}])
+        tcp.close()
+        await tcp.wait_closed()
+        await server.close()
+        return commands + compiled
+
+    stats, unknown, bye, compiled = _run(main())
+    assert stats["id"] == "auto1" and stats["ok"] and "store_shards" in stats
+    assert unknown["id"] == "auto2" and unknown["ok"] is False
+    assert bye["id"] == "auto3" and bye["bye"] is True
+    assert compiled["id"] == "auto4" and compiled["ok"]
+
+
+def test_stdio_quit_without_id_gets_an_auto_id(tmp_path):
+    import io
+
+    server = AsyncCompileServer(_service(tmp_path))
+    stdout = io.StringIO()
+    stdin = io.StringIO(json.dumps({"cmd": "quit"}) + "\n")
+    assert asyncio.run(server.serve_stdio(stdin=stdin, stdout=stdout)) == 0
+    assert json.loads(stdout.getvalue()) == {"bye": True, "id": "auto1", "ok": True}
 
 
 def test_assign_request_id_keeps_existing():
@@ -350,6 +383,65 @@ def test_concurrent_clients_same_program_trigger_exactly_one_solve(tmp_path):
         assert responses["A"]["batch"] != responses["B"]["batch"]
 
     _run(main(), timeout=120)
+
+
+def test_idle_server_dispatches_a_lone_request_at_once(tmp_path):
+    """With nothing in flight a request has no batch to wait for: it is
+    dispatched without sitting out the planning window."""
+    perf = PerfRecorder()
+
+    async def main():
+        service = _service(tmp_path)
+        server = AsyncCompileServer(service, window_s=2.0, perf=perf)
+        tcp, port = await _start(server)
+        (response,) = await _client(port, [{"id": "lone", "name": "qft_4"}])
+        tcp.close()
+        await tcp.wait_closed()
+        await server.close()
+        return response
+
+    assert _run(main())["ok"]
+    wait = perf.stages["serve.queue_wait"]
+    assert wait.calls == 1
+    assert wait.total_s < 0.5, f"queued {wait.total_s:.3f} s of a 2 s window"
+
+
+def test_busy_server_batches_arrivals_while_a_batch_runs(tmp_path):
+    """While a batch is in flight, arrivals from several clients gather in
+    the window and are planned together once the server is free."""
+
+    async def main():
+        engine = GatedModelEngine(PipelineConfig(**CONFIG).physics)
+        service = _service(tmp_path, engine=engine)
+        server = AsyncCompileServer(service, window_s=30.0, max_inflight=2)
+        tcp, port = await _start(server)
+        loop = asyncio.get_running_loop()
+        first = asyncio.create_task(_client(port, [{"id": "first", "name": "qft_4"}]))
+        await loop.run_in_executor(None, engine.started.wait, 20)
+        assert engine.started.is_set()  # batch 1 holds the gate
+        later = [
+            asyncio.create_task(_client(port, [{"id": i, "name": "qft_4"}]))
+            for i in ("A", "B")
+        ]
+        for _ in range(2000):
+            if server.stats_payload()["queued"] == 2:
+                break
+            await asyncio.sleep(0.01)
+        assert server.stats_payload()["queued"] == 2
+        engine.release.set()
+        responses = {
+            r["id"]: r for rs in await asyncio.gather(first, *later) for r in rs
+        }
+        tcp.close()
+        await tcp.wait_closed()
+        await server.close()
+        return service, responses
+
+    service, responses = _run(main(), timeout=120)
+    assert all(r["ok"] for r in responses.values())
+    assert responses["first"]["batch"] == 1
+    assert responses["A"]["batch"] == responses["B"]["batch"] == 2
+    assert service.n_batches == 2
 
 
 # ------------------------------------------------------------- acceptance

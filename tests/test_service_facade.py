@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.engines import GrapeEngine
 from repro.service import AsyncCompileServer, CompileService, PulseStore
-from repro.service.frontdoor import cmd_batch, collect_programs
+from repro.service.frontdoor import cmd_batch, cmd_serve, collect_programs
 from repro.service.protocol import (
     ProtocolError,
     parse_request,
@@ -354,6 +354,24 @@ def test_serve_loop_end_to_end(tmp_path):
     assert not bad["ok"] and bad["id"]  # correlatable, never empty
     assert stats["ok"] and stats["entries"] > 0
     assert bye["bye"]
+
+
+@pytest.mark.parametrize(
+    "flag", [
+        ["--max-batch", "0"], ["--inflight", "0"], ["--max-queue", "0"],
+        ["--window-ms", "-5"], ["--window-ms", "nan"],
+    ],
+    ids=lambda flag: " ".join(flag),
+)
+def test_cmd_serve_rejects_bad_batching_flags_before_opening_the_store(
+    tmp_path, capsys, flag
+):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exit_info:
+        cmd_serve(["--store", str(store)] + flag)
+    assert exit_info.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_collect_programs(tmp_path):
