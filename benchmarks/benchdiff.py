@@ -3,6 +3,7 @@
 
     python3 benchmarks/benchdiff.py BENCH_pr<N>.json --claim remote-churn:req_p50_ms
     python3 benchmarks/benchdiff.py BENCH_pr<N>.json --fail-on warn
+    python3 benchmarks/benchdiff.py BENCH_pr<N>.json --layer grape_iters --layer grape.solves
 
 The file's ``pairs`` hold accbench's result line for the parent and the
 change run of each alternating pair. For every workload, seed and
@@ -21,6 +22,12 @@ change wins, with a verdict:
 The exit code is the auditor's: 0 when the worst verdict is below
 ``--fail-on`` (default ``error``), else 4/5/6 for warn/error/critical.
 ``--write`` stores the verdicts in the file as its ``summary``.
+
+``--layer NAME`` (repeatable; a per-layer metric of ``BENCHMARK.json``)
+prints the file's traced pair, one run per side, as parent -> change
+values. Counts such as ``grape_iters`` or ``grape.solves`` do not depend on
+the machine, so they are read back from the file like a claim; they carry
+no verdict.
 """
 
 import argparse
@@ -109,11 +116,33 @@ def report(summary, units):
                   f"wins {r['change_wins']}/{block['pairs']}  {r['verdict']}")
 
 
+def traced_layers(bench, names):
+    """``{name: {"parent": v, "change": v, "unit": u}}`` of the traced pair."""
+    traced = bench["traced"]
+    return {name: {**{side: traced[side]["result"]["metrics"][name]["value"]
+                      for side in ("parent", "change")},
+                   "unit": traced["parent"]["result"]["metrics"][name]["unit"]}
+            for name in names}
+
+
+def report_layers(bench, layers):
+    def value(x):
+        return f"{x:.0f}" if float(x).is_integer() else number(x)
+
+    print(f"traced pair: {bench.get('traced_command', '?')}")
+    for name, r in layers.items():
+        pct = 100.0 * (r["change"] / r["parent"] - 1) if r["parent"] else 0.0
+        print(f"  {name:<26} {value(r['parent'])} -> {value(r['change'])} "
+              f"{r['unit']:<6} {pct:+6.1f}%")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("bench", help="a BENCH_pr<N>.json with parent/change pairs")
     parser.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"))
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
+    parser.add_argument("--layer", action="append", default=[], metavar="NAME",
+                        help="print this per-layer metric of the traced pair")
     parser.add_argument("--fail-on", choices=SEVERITIES, default="error")
     parser.add_argument("--write", action="store_true",
                         help="store the verdicts as the bench file's summary")
@@ -125,8 +154,15 @@ def main(argv=None):
     for workload, metric in claims:
         if workload not in workloads or metric not in names:
             parser.error(f"--claim {workload}:{metric} names no workload:end-to-end metric")
+    unknown = set(args.layer) - {m["name"] for m in benchmark["per_layer"]}
+    if unknown or (args.layer and "traced" not in bench):
+        parser.error(f"--layer needs a traced pair and per-layer metrics; "
+                     f"unknown: {sorted(unknown)}")
     summary = summarize(bench, metrics, claims)
     report(summary, {m["name"]: m["unit"] for m in metrics})
+    layers = traced_layers(bench, args.layer)
+    if layers:
+        report_layers(bench, layers)
     found = [SEVERITY_OF[r["verdict"]] for b in summary.values() for r in b["metrics"].values()]
     found += ["critical" for b in summary.values()
               if any(b["failed"].values()) or not b["all_correct"]]

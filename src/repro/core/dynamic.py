@@ -317,6 +317,10 @@ class AcceleratedCompiler:
         )
         total_iterations = sum(record.iterations for record in records)
         self.perf.count("dynamic.iterations", total_iterations)
+        self.perf.count(
+            "dynamic.probes_skipped",
+            sum(record.probes_skipped for record in records),
+        )
         self.perf.count("dynamic.groups", len(groups))
         return DynamicCompileReport(
             records=records,

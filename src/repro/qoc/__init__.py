@@ -1,6 +1,10 @@
 """Quantum optimal control: GRAPE engine, latency search, Weyl analysis."""
 
-from repro.qoc.binary_search import BinarySearchResult, binary_search_latency
+from repro.qoc.binary_search import (
+    BinarySearchResult,
+    binary_search_latency,
+    speed_limit_steps,
+)
 from repro.qoc.estimator import LatencyEstimator
 from repro.qoc.fidelity import infidelity, infidelity_and_gradient, propagate
 from repro.qoc.grape import GrapeResult, run_grape
@@ -13,6 +17,7 @@ from repro.qoc.weyl import interaction_content, rotation_angle, weyl_coordinates
 __all__ = [
     "BinarySearchResult",
     "binary_search_latency",
+    "speed_limit_steps",
     "LatencyEstimator",
     "infidelity",
     "infidelity_and_gradient",

@@ -37,6 +37,7 @@ class GrapeResult:
     duration: float  # ns
     wall_time: float  # seconds
     message: str = ""
+    skipped: bool = False  # recorded as failed without solving
 
     @property
     def fidelity(self) -> float:
@@ -72,6 +73,34 @@ class _Tracker:
         self.n_iterations += 1
 
 
+def initial_point(
+    model: ControlModel,
+    n_steps: int,
+    config: RunConfig,
+    initial_pulse: Optional[Pulse] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
+    """A solve's flattened starting amplitudes, shape (n_steps * n_controls,).
+
+    A warm ``initial_pulse`` is resampled to ``n_steps`` and clipped to the
+    bounds; a cold start draws small uniform noise from ``rng`` (a fresh
+    ``grape-cold-start`` generator when none is given). This is the only
+    place a probe draws from its search's generator, so a probe that is
+    recorded without solving still advances the generator exactly as a
+    solved one would.
+    """
+    bounds_vec = np.repeat(model.bounds()[None, :], n_steps, axis=0).ravel()
+    if initial_pulse is not None:
+        x0 = initial_pulse.resampled(n_steps).amplitudes.ravel()
+        return np.clip(x0, -bounds_vec, bounds_vec)
+    rng = rng or derive_rng("grape-cold-start", config.seed)
+    return (
+        config.cold_start_noise
+        * bounds_vec
+        * rng.uniform(-1.0, 1.0, size=n_steps * model.n_controls)
+    )
+
+
 def run_grape(
     target: np.ndarray,
     model: ControlModel,
@@ -84,7 +113,8 @@ def run_grape(
 
     ``initial_pulse`` enables AccQOC's warm start: the cached pulse of a
     similar group is resampled to ``n_steps`` and used as the starting point;
-    otherwise a small random cold start is drawn from ``rng``.
+    otherwise a small random cold start is drawn from ``rng``
+    (:func:`initial_point`).
     """
     if target.shape != (model.dim, model.dim):
         raise ValueError(
@@ -95,17 +125,7 @@ def run_grape(
     dt = model.physics.dt
     n_controls = model.n_controls
     bounds_vec = np.repeat(model.bounds()[None, :], n_steps, axis=0).ravel()
-
-    if initial_pulse is not None:
-        x0 = initial_pulse.resampled(n_steps).amplitudes.ravel()
-        x0 = np.clip(x0, -bounds_vec, bounds_vec)
-    else:
-        rng = rng or derive_rng("grape-cold-start", config.seed)
-        x0 = (
-            config.cold_start_noise
-            * bounds_vec
-            * rng.uniform(-1.0, 1.0, size=n_steps * n_controls)
-        )
+    x0 = initial_point(model, n_steps, config, initial_pulse, rng)
 
     tracker = _Tracker(
         config.target_infidelity, time.monotonic() + config.time_budget_s

@@ -39,13 +39,16 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from repro.qoc.binary_search import BinarySearchResult
+from repro.qoc.binary_search import (
+    BinarySearchResult,
+    SearchState,
+    speed_limit_steps,
+)
 from repro.qoc.fidelity_batched import infidelity_and_gradient_batched
-from repro.qoc.grape import GrapeResult, _Budget, _Tracker
+from repro.qoc.grape import GrapeResult, _Budget, _Tracker, initial_point
 from repro.qoc.hamiltonian import ControlModel
 from repro.qoc.pulse import Pulse
 from repro.utils.config import RunConfig
-from repro.utils.rng import derive_rng
 
 
 @dataclass
@@ -191,19 +194,10 @@ def run_grape_batch(
     n_controls = model.n_controls
     bounds_vec = np.repeat(model.bounds()[None, :], n_steps, axis=0).ravel()
 
-    x0s: List[np.ndarray] = []
-    for initial_pulse, rng in zip(initial_pulses, rngs):
-        if initial_pulse is not None:
-            x0 = initial_pulse.resampled(n_steps).amplitudes.ravel()
-            x0 = np.clip(x0, -bounds_vec, bounds_vec)
-        else:
-            rng = rng or derive_rng("grape-cold-start", config.seed)
-            x0 = (
-                config.cold_start_noise
-                * bounds_vec
-                * rng.uniform(-1.0, 1.0, size=n_steps * n_controls)
-            )
-        x0s.append(x0)
+    x0s = [
+        initial_point(model, n_steps, config, initial_pulse, rng)
+        for initial_pulse, rng in zip(initial_pulses, rngs)
+    ]
 
     start = time.monotonic()
     deadline = start + config.time_budget_s
@@ -307,64 +301,6 @@ def run_grape_batch(
     return results
 
 
-class _SearchState:
-    """One latency binary search, stepped probe by probe.
-
-    Encodes exactly the serial :func:`~repro.qoc.binary_search.
-    binary_search_latency` control flow — doubling bracket, give-up on
-    exhausted doublings, then bisection bounded by the probe budget — as
-    a state machine so K searches can advance in lockstep rounds.
-    """
-
-    def __init__(
-        self,
-        hi_steps: int,
-        lo_steps: int,
-        max_doublings: int,
-        max_probes: int,
-    ) -> None:
-        self.probes: List[GrapeResult] = []
-        self.best: Optional[GrapeResult] = None
-        self.lo = lo_steps
-        self.hi = max(hi_steps, lo_steps, 1)
-        self.doublings_left = max_doublings
-        self.max_probes = max_probes
-        self.bisecting = False
-        self.done = False
-
-    def next_steps(self) -> int:
-        if self.bisecting:
-            return (self.lo + self.hi) // 2
-        return self.hi
-
-    def absorb(self, result: GrapeResult) -> None:
-        self.probes.append(result)
-        if not self.bisecting:
-            if result.converged:
-                self.best = result
-                self.hi = result.n_steps
-                self.bisecting = True
-                self._check_bisect_done()
-            elif self.doublings_left == 0:
-                self.best = min(self.probes, key=lambda p: p.infidelity)
-                self.done = True
-            else:
-                self.doublings_left -= 1
-                self.hi *= 2
-        else:
-            mid = (self.lo + self.hi) // 2  # the probe that just ran
-            if result.converged:
-                self.best = result
-                self.hi = mid
-            else:
-                self.lo = mid + 1
-            self._check_bisect_done()
-
-    def _check_bisect_done(self) -> None:
-        if not (self.lo < self.hi and len(self.probes) < self.max_probes):
-            self.done = True
-
-
 def binary_search_latency_batched(
     targets: Sequence[np.ndarray],
     model: ControlModel,
@@ -383,7 +319,10 @@ def binary_search_latency_batched(
     form one :func:`run_grape_batch` call (warm pulses resample per probe,
     each search's own RNG threads through its probes, exactly as the
     serial search reuses one generator). Searches finish independently —
-    a search that converges early just stops contributing probes.
+    a search that converges early just stops contributing probes. Each
+    search is a :class:`~repro.qoc.binary_search.SearchState` with its
+    target's speed-limit floor, so bisection probes at or below it are
+    recorded unsolved exactly as the serial search records them.
     """
     n_solves = len(targets)
     if initial_pulses is None:
@@ -391,10 +330,14 @@ def binary_search_latency_batched(
     if rngs is None:
         rngs = [None] * n_solves
     states = [
-        _SearchState(
-            hi_steps, lo_steps, max_doublings, config.binary_search_max_probes
+        SearchState(
+            hi_steps,
+            lo_steps,
+            max_doublings,
+            config.binary_search_max_probes,
+            speed_limit_steps(target, model, config.target_infidelity),
         )
-        for _ in range(n_solves)
+        for target in targets
     ]
     pool = (
         ThreadPoolExecutor(
@@ -405,6 +348,8 @@ def binary_search_latency_batched(
     )
     try:
         while True:
+            for state, initial_pulse, rng in zip(states, initial_pulses, rngs):
+                state.skip_below_floor(model, config, initial_pulse, rng)
             wanted = {
                 i: states[i].next_steps()
                 for i in range(n_solves)
@@ -432,7 +377,4 @@ def binary_search_latency_batched(
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    return [
-        BinarySearchResult(best=state.best, probes=state.probes)
-        for state in states
-    ]
+    return [state.result() for state in states]

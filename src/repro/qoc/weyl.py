@@ -38,6 +38,11 @@ _MAGIC = (
 
 _PI = np.pi
 
+# Branch candidates of the eigenphase assignment: every ordering of the four
+# half-phases, each shifted by 0 or pi, in itertools order.
+_PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+_SHIFTS = _PI * np.array(list(itertools.product((0, 1), repeat=4)))
+
 
 def _to_su4(u: np.ndarray) -> np.ndarray:
     det = np.linalg.det(u)
@@ -49,6 +54,12 @@ def weyl_coordinates(u: np.ndarray, atol: float = 1e-7) -> Tuple[float, float, f
 
     Identity -> (0,0,0); CNOT/CZ -> (pi/4,0,0); iSWAP -> (pi/4,pi/4,0);
     SWAP -> (pi/4,pi/4,pi/4). Invariant under single-qubit rotations.
+
+    All 24 x 16 (permutation, 2-pi shift) branch candidates are evaluated
+    as one array expression, in ``itertools`` order (permutations outer,
+    shifts inner). The pick is the first candidate whose folded sum beats
+    the best so far by more than ``atol``, so near-ties resolve to the
+    earliest candidate, exactly as a sequential scan over them would.
     """
     if u.shape != (4, 4):
         raise ValueError("weyl_coordinates needs a 4x4 unitary")
@@ -57,47 +68,48 @@ def weyl_coordinates(u: np.ndarray, atol: float = 1e-7) -> Tuple[float, float, f
     gamma = m.T @ m
     phases = np.angle(np.linalg.eigvals(gamma))  # 2*lambda_k mod 2pi
 
-    best: Tuple[float, float, float] = (_PI / 4, _PI / 4, _PI / 4)
-    best_sum = 3 * _PI / 4 + 1.0
-    found = False
     half = phases / 2.0  # lambda_k mod pi
-    for perm in itertools.permutations(range(4)):
-        lam_base = half[list(perm)]
-        for shifts in itertools.product((0, 1), repeat=4):
-            lam = lam_base + _PI * np.asarray(shifts)
-            total = lam.sum()
-            if abs(_wrap(total, 2 * _PI)) > 1e-5:
-                continue
-            c1 = (lam[0] + lam[2]) / 2.0
-            c2 = (lam[1] + lam[2]) / 2.0
-            c3 = (lam[0] + lam[1]) / 2.0
-            folded = _fold((c1, c2, c3))
-            found = True
-            s = sum(folded)
-            if s < best_sum - atol:
-                best_sum = s
-                best = folded
-    if not found:
+    lam = (half[_PERMUTATIONS][:, None, :] + _SHIFTS[None, :, :]).reshape(-1, 4)
+    # Left to right, as ndarray.sum adds four elements.
+    total = lam[:, 0] + lam[:, 1] + lam[:, 2] + lam[:, 3]
+    lam = lam[~(np.abs(_wrap(total, 2 * _PI)) > 1e-5)]
+    if not len(lam):
         raise ArithmeticError("no consistent branch assignment found")
-    return best
+    folded = _fold_rows(
+        np.stack(
+            [
+                (lam[:, 0] + lam[:, 2]) / 2.0,
+                (lam[:, 1] + lam[:, 2]) / 2.0,
+                (lam[:, 0] + lam[:, 1]) / 2.0,
+            ],
+            axis=1,
+        )
+    )
+    sums = folded[:, 0] + folded[:, 1] + folded[:, 2]
+    # Sequential "first strict improvement by atol": jump from each pick to
+    # the first later candidate below it by more than atol.
+    best, best_sum, start = -1, 3 * _PI / 4 + 1.0, 0
+    while True:
+        better = np.flatnonzero(sums[start:] < best_sum - atol)
+        if not len(better):
+            break
+        best = start + int(better[0])
+        best_sum, start = sums[best], best + 1
+    c1, c2, c3 = folded[best]
+    return (c1, c2, c3)
 
 
-def _wrap(x: float, period: float) -> float:
-    """Wrap into (-period/2, period/2]."""
+def _wrap(x, period: float):
+    """Wrap into [-period/2, period/2) (elementwise on arrays)."""
     y = (x + period / 2.0) % period - period / 2.0
     return y
 
 
-def _fold(c: Tuple[float, float, float]) -> Tuple[float, float, float]:
-    """Fold each coordinate into [0, pi/4], then sort descending."""
-    out = []
-    for value in c:
-        v = abs(_wrap(value, _PI))  # into [0, pi/2]
-        if v > _PI / 4:
-            v = _PI / 2 - v
-        out.append(v)
-    out.sort(reverse=True)
-    return (out[0], out[1], out[2])
+def _fold_rows(c: np.ndarray) -> np.ndarray:
+    """Fold each coordinate into [0, pi/4], then sort each row descending."""
+    v = np.abs(_wrap(c, _PI))  # into [0, pi/2]
+    v = np.where(v > _PI / 4, _PI / 2 - v, v)
+    return np.sort(v, axis=1)[:, ::-1]
 
 
 def interaction_content(u: np.ndarray) -> float:

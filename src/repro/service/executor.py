@@ -105,7 +105,9 @@ def run_part(
     each with its canonical-key RNG tag. With ``RunConfig.batched_grape``
     set, same-class seeded tasks share the walk's batched lane; the
     ``solve`` stage then includes ``solve.batched`` time, and the
-    ``grape.batched.*`` counters report stream occupancy.
+    ``grape.batched.*`` counters report stream occupancy. The
+    ``probes_skipped`` counter sums the search probes recorded as failed
+    below the speed limit without a solve.
 
     ``submitted_at`` is a ``time.perf_counter`` reading taken when the part
     was handed to the pool; the gap to the part's first instruction is the
@@ -131,6 +133,7 @@ def run_part(
     counters = dict(perf.counters)
     counters["groups"] = len(tasks)
     counters["iterations"] = sum(record.iterations for record in records)
+    counters["probes_skipped"] = sum(record.probes_skipped for record in records)
     return PartOutcome(
         worker=worker,
         records=records,

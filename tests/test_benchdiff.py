@@ -9,6 +9,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "BENCH_pr18.json")
+TRACED = os.path.join(ROOT, "BENCH_pr19.json")
 CLAIM = ["--claim", "remote-churn:req_p50_ms"]
 
 
@@ -57,3 +58,21 @@ def test_incorrect_run_is_critical(benchdiff, tmp_path, capsys):
     broken.write_text(json.dumps(bench))
     assert benchdiff.main([str(broken)] + CLAIM) == 6
     assert "correct NO" in capsys.readouterr().out
+
+
+def test_layer_prints_the_traced_pair(benchdiff, capsys):
+    layers = ["--layer", "grape_iters", "--layer", "remote.rpcs", "--layer", "latency.s"]
+    assert benchdiff.main([TRACED] + CLAIM + layers) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("traced pair:"))
+    assert "--workload remote-churn --seed 1" in lines[start]
+    rows = {line.split()[0]: line for line in lines[start + 1:start + 4]}
+    assert re.search(r"72960 -> 72960 count\s+\+0\.0%", rows["grape_iters"])
+    assert re.search(r"294 -> 294 count", rows["remote.rpcs"])
+    assert re.search(r"0\.242 -> 0\.0234 s\s+-90\.3%", rows["latency.s"])
+
+
+def test_layer_must_name_a_per_layer_metric(benchdiff):
+    with pytest.raises(SystemExit) as exc:
+        benchdiff.main([TRACED, "--layer", "req_p50_ms"])
+    assert exc.value.code == 2

@@ -1,13 +1,20 @@
 """Weyl-chamber coordinates and rotation angles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit
+from repro.core.pipeline import AccQOC
+from repro.qoc import weyl
 from repro.qoc.weyl import interaction_content, rotation_angle, weyl_coordinates
+from repro.service.protocol import resolve_program
+from repro.utils.config import PipelineConfig
 from repro.utils.linalg import random_unitary
+from repro.utils.rng import derive_rng
 
 PI4 = np.pi / 4
 
@@ -79,6 +86,81 @@ def test_coordinates_in_folded_chamber(seed):
     rng = np.random.default_rng(seed)
     c = weyl_coordinates(random_unitary(4, rng))
     assert PI4 + 1e-9 >= c[0] >= c[1] >= c[2] >= -1e-9
+
+
+def _loop_weyl_coordinates(u, atol=1e-7):
+    """The sequential branch scan ``weyl_coordinates`` replaced: one Python
+    iteration per (permutation, shift) candidate, first strict improvement
+    by ``atol`` wins. The oracle for exact equality."""
+    pi = np.pi
+
+    def wrap(x, period):
+        return (x + period / 2.0) % period - period / 2.0
+
+    def fold(c):
+        out = []
+        for value in c:
+            v = abs(wrap(value, pi))
+            if v > pi / 4:
+                v = pi / 2 - v
+            out.append(v)
+        out.sort(reverse=True)
+        return (out[0], out[1], out[2])
+
+    su = weyl._to_su4(np.asarray(u, dtype=complex))
+    m = weyl._MAGIC.conj().T @ su @ weyl._MAGIC
+    half = np.angle(np.linalg.eigvals(m.T @ m)) / 2.0
+    best, best_sum, found = None, 3 * pi / 4 + 1.0, False
+    for perm in itertools.permutations(range(4)):
+        lam_base = half[list(perm)]
+        for shifts in itertools.product((0, 1), repeat=4):
+            lam = lam_base + pi * np.asarray(shifts)
+            if abs(wrap(lam.sum(), 2 * pi)) > 1e-5:
+                continue
+            folded = fold(
+                (
+                    (lam[0] + lam[2]) / 2.0,
+                    (lam[1] + lam[2]) / 2.0,
+                    (lam[0] + lam[1]) / 2.0,
+                )
+            )
+            found = True
+            if sum(folded) < best_sum - atol:
+                best_sum, best = sum(folded), folded
+    assert found
+    return best
+
+
+#: The 12 programs of the cold GRAPE benchmark pass.
+COLD_PROGRAMS = (
+    "qft_4", "qft_5", "qft_6", "qft_7", "qft_8", "adder_4",
+    "hwb_6", "4gt4-v0", "gray_10", "ex2", "qft_10", "qft_12",
+)
+
+
+def _oracle_cases():
+    iswap = np.array(
+        [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
+    )
+    named = [
+        Circuit(2).add(gate, 0, 1).unitary() for gate in ("cx", "cz", "swap")
+    ] + [iswap, np.eye(4, dtype=complex)]
+    rng = derive_rng("weyl-oracle")
+    randoms = [random_unitary(4, rng) for _ in range(500)]
+    pipeline = AccQOC(PipelineConfig())
+    groups = {}
+    for name in COLD_PROGRAMS:
+        for group in pipeline.groups_of(resolve_program(name))[1]:
+            if group.n_qubits == 2:
+                groups.setdefault(group.matrix().tobytes(), group.matrix())
+    return named, randoms, list(groups.values())
+
+
+def test_vectorized_scan_equals_the_sequential_scan():
+    named, randoms, groups = _oracle_cases()
+    assert len(groups) > 50
+    for u in named + randoms + groups:
+        assert tuple(weyl_coordinates(u)) == _loop_weyl_coordinates(u)
 
 
 def test_rejects_wrong_shape():
