@@ -2,8 +2,9 @@
 
 Compares, on the same uncovered-group set: (a) standard per-group cold
 compilation, (b) MST-ordered warm starts (AccQOC dynamic compilation),
-(c) MST + pre-compiled library seeds. DESIGN.md calls these out as the
-paper's two acceleration mechanisms; this bench separates their shares.
+(c) MST + pre-compiled library seeds. These are the paper's two
+acceleration mechanisms (Sec I: warm starts from the most similar stored
+pulse, and the MST compile order); this bench separates their shares.
 """
 
 from benchmarks.conftest import run_once

@@ -801,24 +801,12 @@ def test_scheduler_straggler_steal_vs_static(tmp_path, scheduler_mode):
     )
 
 
-def test_service_worker_scaling_qft16(benchmark, batched_grape_mode):
+def test_service_worker_scaling_qft16(benchmark):
     """Acceptance: qft_16 uncovered groups, GRAPE, process backend, 1->8
     workers. Bit-identical pulses at every worker count; >= 2x speedup at
-    4 workers — modelled everywhere, wall-clock where the cores exist.
-
-    ``--batched-grape`` swaps in the cross-pulse batched engine
-    (``RunConfig.batched_grape``): the same part plan runs its same-class
-    buckets through shared kernel streams. Which groups share a bucket
-    depends on the partition (more workers -> smaller parts -> more
-    singletons on the serial path), so pulse *bytes* are partition-
-    dependent there by design; the assertion becomes the engine's actual
-    contract — identical per-group latencies and convergence at every
-    worker count."""
+    4 workers — modelled everywhere, wall-clock where the cores exist."""
     config = PipelineConfig(policy_name="map2b4l")
-    run = config.run.fast()
-    if batched_grape_mode:
-        run = run.batched()
-    engine = GrapeEngine(config.physics, run)
+    engine = GrapeEngine(config.physics, config.run.fast())
     from repro.core.pipeline import AccQOC
 
     pipeline = AccQOC(config, engine=engine)
@@ -842,16 +830,10 @@ def test_service_worker_scaling_qft16(benchmark, batched_grape_mode):
             start = time.perf_counter()
             records = executor.run(plan, empty)
             walls[k] = time.perf_counter() - start
-        if batched_grape_mode:
-            pulses[k] = {
-                plan.uncovered[i].key(): (r.latency, r.converged)
-                for i, r in enumerate(records)
-            }
-        else:
-            pulses[k] = {
-                plan.uncovered[i].key(): r.pulse.amplitudes.tobytes()
-                for i, r in enumerate(records)
-            }
+        pulses[k] = {
+            plan.uncovered[i].key(): r.pulse.amplitudes.tobytes()
+            for i, r in enumerate(records)
+        }
 
     print(f"\n{'workers':>8} | {'wall s':>8} | {'modelled speedup':>16}")
     print("-" * 40)
@@ -860,9 +842,7 @@ def test_service_worker_scaling_qft16(benchmark, batched_grape_mode):
             f"{k:8d} | {walls[k]:8.2f} | {plans[k].modelled_speedup:15.2f}x"
         )
 
-    # bit-identical across every worker count (store-seeded determinism);
-    # under --batched-grape the bytes are partition-dependent by design,
-    # so the per-group latency/convergence contract is asserted instead
+    # bit-identical across every worker count (store-seeded determinism)
     for k in (2, 4, 8):
         assert pulses[k] == pulses[1], f"results diverge at {k} workers"
 

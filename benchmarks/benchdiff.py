@@ -27,7 +27,8 @@ The exit code is the auditor's: 0 when the worst verdict is below
 prints the file's traced pair, one run per side, as parent -> change
 values. Counts such as ``grape_iters`` or ``grape.solves`` do not depend on
 the machine, so they are read back from the file like a claim; they carry
-no verdict.
+no verdict. ``traced`` is one pair (its command in ``traced_command``) or
+a list of pairs, one per traced workload, each with its own ``command``.
 """
 
 import argparse
@@ -116,20 +117,27 @@ def report(summary, units):
                   f"wins {r['change_wins']}/{block['pairs']}  {r['verdict']}")
 
 
-def traced_layers(bench, names):
-    """``{name: {"parent": v, "change": v, "unit": u}}`` of the traced pair."""
+def traced_pairs(bench):
+    """The file's traced pairs, each ``{"command", "parent", "change"}``."""
     traced = bench["traced"]
+    if isinstance(traced, list):
+        return traced
+    return [{"command": bench.get("traced_command", "?"), **traced}]
+
+
+def traced_layers(traced, names):
+    """``{name: {"parent": v, "change": v, "unit": u}}`` of one traced pair."""
     return {name: {**{side: traced[side]["result"]["metrics"][name]["value"]
                       for side in ("parent", "change")},
                    "unit": traced["parent"]["result"]["metrics"][name]["unit"]}
             for name in names}
 
 
-def report_layers(bench, layers):
+def report_layers(command, layers):
     def value(x):
         return f"{x:.0f}" if float(x).is_integer() else number(x)
 
-    print(f"traced pair: {bench.get('traced_command', '?')}")
+    print(f"traced pair: {command}")
     for name, r in layers.items():
         pct = 100.0 * (r["change"] / r["parent"] - 1) if r["parent"] else 0.0
         print(f"  {name:<26} {value(r['parent'])} -> {value(r['change'])} "
@@ -160,9 +168,9 @@ def main(argv=None):
                      f"unknown: {sorted(unknown)}")
     summary = summarize(bench, metrics, claims)
     report(summary, {m["name"]: m["unit"] for m in metrics})
-    layers = traced_layers(bench, args.layer)
-    if layers:
-        report_layers(bench, layers)
+    if args.layer:
+        for traced in traced_pairs(bench):
+            report_layers(traced["command"], traced_layers(traced, args.layer))
     found = [SEVERITY_OF[r["verdict"]] for b in summary.values() for r in b["metrics"].values()]
     found += ["critical" for b in summary.values()
               if any(b["failed"].values()) or not b["all_correct"]]

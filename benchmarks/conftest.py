@@ -35,14 +35,6 @@ def pytest_addoption(parser):
              "bench_service_throughput.py)",
     )
     parser.addoption(
-        "--batched-grape",
-        action="store_true",
-        default=False,
-        help="run the GRAPE-backed service benches with the cross-pulse "
-             "batched engine (RunConfig.batched_grape) instead of the "
-             "serial oracle (bench_service_throughput.py)",
-    )
-    parser.addoption(
         "--loadgen",
         action="store_true",
         default=False,
@@ -69,12 +61,6 @@ def scheduler_mode(request):
     if not request.config.getoption("--scheduler"):
         pytest.skip("cluster-scheduler benches run with --scheduler")
     return True
-
-
-@pytest.fixture
-def batched_grape_mode(request):
-    """True when --batched-grape selects the cross-pulse batched engine."""
-    return bool(request.config.getoption("--batched-grape"))
 
 
 @pytest.fixture

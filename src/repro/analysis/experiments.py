@@ -1,8 +1,8 @@
 """One experiment driver per table/figure of the paper's evaluation.
 
 Every driver returns a small result object with ``headers`` / ``rows()`` for
-the benchmark harness to print, plus the scalar summaries EXPERIMENTS.md
-records. Drivers accept an ``engine`` argument: the calibrated ModelEngine
+the benchmark harness to print, plus scalar summaries to set against the
+paper's numbers. Drivers accept an ``engine`` argument: the calibrated ModelEngine
 (default; seconds per experiment) or the real GrapeEngine (for the
 iteration-count figures, minutes at the default sample sizes).
 """

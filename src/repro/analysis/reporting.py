@@ -50,7 +50,7 @@ def ascii_table(
 
 def paper_vs_measured(label: str, paper: float, measured: float,
                       unit: str = "") -> str:
-    """One comparison line for EXPERIMENTS.md-style output."""
+    """One ``label: paper X, measured Y`` comparison line."""
     suffix = f" {unit}" if unit else ""
     return (
         f"{label}: paper {format_cell(paper)}{suffix}, "

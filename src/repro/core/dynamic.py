@@ -17,8 +17,7 @@ is its one implementation. Three callers feed it:
   one :func:`best_library_seeds` call (one ``dynamic.library_seed`` stage
   per compile).
 - :meth:`repro.core.precompile.StaticPrecompiler.build_library` walks the
-  profiled unique groups the same way, roots cold. With
-  ``RunConfig.batched_grape`` set, its roots take the batched lane too.
+  profiled unique groups the same way, roots cold.
 - :func:`repro.service.executor.run_part` walks one worker's part of a
   service batch: roots seeded from the store snapshot, ``warm="chain"``
   children from their parent within the part.
@@ -151,53 +150,11 @@ def compile_in_order(
     from that parent's fresh record: its pulse, and its group, which is
     what :class:`~repro.core.engines.ModelEngine` prices a warm start by.
     A root (``parents[i] is None``) starts from ``seeds[i]``. ``tags[i]``
-    is the group's RNG tag. Each serial solve is one ``perf.stage(stage)``
-    call.
-
-    When the engine opts into cross-pulse batched GRAPE
-    (``RunConfig.batched_grape``), roots are first bucketed by the
-    engine's ``(dim, hi_steps)`` solve class, and each bucket of two or
-    more runs through one ``compile_group_batch`` kernel stream
-    (:mod:`repro.qoc.grape_batched`) under ``<stage>.batched``, in sorted
-    class order, with stream occupancy in the ``grape.batched.*``
-    counters. Seeds and RNG tags flow in per solve exactly as on the
-    serial path; only 1e-9-level kernel reassociation differs, which is
-    why the lane is opt-in and the serial walk stays the bit-identity
-    oracle. Children never batch (each needs its parent's fresh pulse),
-    and neither do singleton buckets or virtual diagonals.
+    is the group's RNG tag. Each solve is one ``perf.stage(stage)`` call.
     """
     perf = recorder_or_null(perf)
     records: List[Optional[CompileRecord]] = [None] * len(groups)
-    if getattr(getattr(engine, "run", None), "batched_grape", False):
-        from repro.qoc.grape_batched import BatchStats
-
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for i, group in enumerate(groups):
-            if parents[i] is None:
-                solve_class = engine.solve_class(group)
-                if solve_class is not None:
-                    buckets.setdefault(solve_class, []).append(i)
-        batchable = [b for _, b in sorted(buckets.items()) if len(b) >= 2]
-        if batchable:
-            stats = BatchStats()
-            for bucket in batchable:
-                with perf.stage(stage + ".batched"):
-                    batch = engine.compile_group_batch(
-                        [groups[i] for i in bucket],
-                        warm_pulses=[seeds[i][0] for i in bucket],
-                        seed_tags=[tags[i] for i in bucket],
-                        stats=stats,
-                    )
-                for i, record in zip(bucket, batch):
-                    records[i] = record
-            perf.count("grape.batched.groups", sum(map(len, batchable)))
-            perf.count("grape.batched.buckets", len(batchable))
-            perf.count("grape.batched.batch_width", stats.width_sum)
-            perf.count("grape.batched.rounds", stats.rounds)
-            perf.count("grape.batched.narrowings", stats.narrowings)
     for i, group in enumerate(groups):
-        if records[i] is not None:  # solved in a batched bucket
-            continue
         parent = parents[i]
         if parent is None:
             warm_pulse, warm_source = seeds[i]

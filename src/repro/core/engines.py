@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -110,7 +110,6 @@ class GrapeEngine:
         self,
         group: GateGroup,
         warm_pulse: Optional[Pulse] = None,
-        warm_weight: Optional[float] = None,
         seed_tag: str = "",
     ) -> CompileRecord:
         if LatencyEstimator.is_virtual_diagonal(group.matrix()):
@@ -138,78 +137,6 @@ class GrapeEngine:
             warm_started=warm_pulse is not None,
             probes_skipped=search.probes_skipped,
         )
-
-    def solve_class(self, group: GateGroup) -> Optional[Tuple[int, int]]:
-        """Batching class ``(dim, hi_steps)`` — groups sharing one can be
-        solved together by :meth:`compile_group_batch` (same control model,
-        same binary-search bracket, so their probes stay in lockstep).
-        ``None`` for virtual-diagonal groups, which never reach GRAPE.
-        """
-        if LatencyEstimator.is_virtual_diagonal(group.matrix()):
-            return None
-        estimate = self.estimator.group_latency(group)
-        hi_steps = max(int(math.ceil(estimate / self.physics.dt)) * 2, 4)
-        return (group.dim, hi_steps)
-
-    def compile_group_batch(
-        self,
-        groups: Sequence[GateGroup],
-        warm_pulses: Optional[Sequence[Optional[Pulse]]] = None,
-        seed_tags: Optional[Sequence[str]] = None,
-        stats=None,
-    ) -> "list[CompileRecord]":
-        """Compile K same-class groups through one batched kernel stream.
-
-        Every group keeps exactly the per-solve inputs :meth:`compile_group`
-        would give it — the same ``grape-engine:<seed_tag>`` RNG, the same
-        warm pulse, the same binary-search bracket — only the kernel
-        launches are shared (see :mod:`repro.qoc.grape_batched`). All
-        groups must share one :meth:`solve_class`; the caller buckets.
-        ``stats`` (a :class:`~repro.qoc.grape_batched.BatchStats`) collects
-        stream occupancy for perf counters.
-        """
-        from repro.qoc.grape_batched import binary_search_latency_batched
-
-        groups = list(groups)
-        if warm_pulses is None:
-            warm_pulses = [None] * len(groups)
-        if seed_tags is None:
-            seed_tags = [""] * len(groups)
-        if not groups:
-            return []
-        classes = {self.solve_class(group) for group in groups}
-        if len(classes) != 1 or None in classes:
-            raise ValueError(
-                f"compile_group_batch needs one non-trivial solve class, "
-                f"got {sorted(classes, key=str)}"
-            )
-        (_, hi_steps), = classes
-        model = self.model_for(groups[0].n_qubits)
-        rngs = [
-            derive_rng(f"grape-engine:{tag}", self.run.seed)
-            for tag in seed_tags
-        ]
-        searches = binary_search_latency_batched(
-            [group.matrix() for group in groups],
-            model,
-            self.run,
-            hi_steps=hi_steps,
-            initial_pulses=list(warm_pulses),
-            rngs=rngs,
-            stats=stats,
-        )
-        return [
-            CompileRecord(
-                latency=search.best.duration,
-                iterations=search.total_iterations,
-                converged=search.best.converged,
-                pulse=search.best.pulse,
-                probes=len(search.probes),
-                warm_started=warm_pulse is not None,
-                probes_skipped=search.probes_skipped,
-            )
-            for search, warm_pulse in zip(searches, warm_pulses)
-        ]
 
     def compile_single_solve(
         self,
@@ -239,19 +166,19 @@ class GrapeEngine:
 
 @dataclass
 class IterationModel:
-    """Calibrated cold-start cost and warm-start ratio (see module docstring).
+    """Cold-start cost and warm-start ratio (see module docstring).
 
-    The constants were fitted to GRAPE searches that still solved every
-    probe below the speed limit (``qoc.binary_search.speed_limit_steps``),
-    so they overstate what a search costs now. They are kept as they are:
-    every model-mode figure is pinned by ``golden/paper_outputs.json``.
+    No committed data backs these constants: they predate the speed-limit
+    floor (``qoc.binary_search.speed_limit_steps``), so they overstate
+    what a search costs now, and ROADMAP item 2 fits them to recorded
+    GRAPE runs. Until then they stay as they are: every model-mode figure
+    is pinned by ``golden/paper_outputs.json``.
     """
 
     base_1q: float = 60.0  # iterations incl. binary-search probes
     base_2q: float = 600.0
     dim_exponent: float = 1.6  # base(d) ~ base_2q * (d/4)^(dim_exponent) beyond 2q
-    # Warm-ratio affine fit, tuned to GRAPE measurements on 2b4l groups
-    # (see EXPERIMENTS.md): identical seed ~ 0.3x cold, unrelated seed > 1x.
+    # Warm-ratio affine map: identical seed ~ 0.3x cold, unrelated seed > 1x.
     r0: float = 0.30
     r1: float = 0.80
     ratio_min: float = 0.25
@@ -297,7 +224,6 @@ class ModelEngine:
         self,
         group: GateGroup,
         warm_pulse: Optional[Pulse] = None,
-        warm_weight: Optional[float] = None,
         seed_tag: str = "",
         warm_source: Optional[GateGroup] = None,
     ) -> CompileRecord:
@@ -310,9 +236,6 @@ class ModelEngine:
                 group.matrix(), warm_source.matrix()
             )
             iterations = base * self.iterations.warm_ratio(true_distance)
-            warm = True
-        elif warm_weight is not None:
-            iterations = base * self.iterations.warm_ratio(warm_weight)
             warm = True
         else:
             iterations = base

@@ -14,7 +14,7 @@ This is exactly the min-max objective the paper uses METIS for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.simgraph import IDENTITY_VERTEX, CompileSequence
 
@@ -79,8 +79,6 @@ def partition_tree(
     sequence: CompileSequence,
     node_weights: Dict[int, float],
     n_parts: int,
-    class_of: Optional[Dict[int, object]] = None,
-    affinity_slack: float = 0.25,
 ) -> TreePartition:
     """Split the MST into <= ``n_parts`` connected parts, min-max weight.
 
@@ -88,18 +86,6 @@ def partition_tree(
     whose induced subgraph of MST edges is connected, except that cutting an
     edge makes the child subtree a new part rooted at that child (which then
     trains its root from the identity, the "soft dependency" of Sec V-D).
-
-    ``class_of`` adds a *solve-class affinity* term to the greedy cut: a
-    child subtree whose root shares the growing part's class is packed
-    first and may overflow the capacity by ``affinity_slack`` (fractional),
-    while a different-class child only joins within the strict capacity.
-    Wider same-class parts are what the batched-GRAPE kernels want — each
-    part's tasks bucket by ``solve_class`` into one stacked propagation
-    (see ``core.dynamic.compile_in_order``) — and the slack trades a
-    bounded amount of balance for that batch width. Reported part weights
-    stay honest (actual sums, slack included), so ``bottleneck`` remains a
-    truthful makespan proxy. ``None`` class (virtual-diagonal groups, or a
-    missing entry) never matches anything, including itself.
     """
     vertices = list(sequence.order)
     if not vertices:
@@ -122,9 +108,7 @@ def partition_tree(
     best_cut: Dict[int, bool] = {}
     for _ in range(60):
         mid = (lo + hi) / 2.0
-        parts_needed, cuts = _greedy_cut(
-            roots, children, node_weights, mid, class_of, affinity_slack
-        )
+        parts_needed, cuts = _greedy_cut(roots, children, node_weights, mid)
         if parts_needed <= n_parts:
             best_cut = cuts
             hi = mid
@@ -135,9 +119,7 @@ def partition_tree(
     if not best_cut:
         # Even one part per vertex may exceed n_parts when the tree has more
         # roots than workers; fall back to capacity = total (single pass).
-        _, best_cut = _greedy_cut(
-            roots, children, node_weights, total, class_of, affinity_slack
-        )
+        _, best_cut = _greedy_cut(roots, children, node_weights, total)
 
     return _collect_parts(vertices, sequence, best_cut, node_weights)
 
@@ -147,26 +129,14 @@ def _greedy_cut(
     children: Dict[int, List[int]],
     node_weights: Dict[int, float],
     capacity: float,
-    class_of: Optional[Dict[int, object]] = None,
-    affinity_slack: float = 0.25,
 ) -> Tuple[int, Dict[int, bool]]:
     """Bottom-up greedy: cut a child edge when the subtree weight overflows.
-
-    With ``class_of``, children whose subtree root shares the vertex's
-    solve class are considered first and tolerated up to
-    ``capacity * (1 + affinity_slack)``; different-class children only
-    join within the strict capacity. An uncut subtree keeps the class of
-    its root vertex for the parent's comparison one level up.
 
     Returns (number of parts, cut[v] = True when the edge parent->v is cut).
     """
     cuts: Dict[int, bool] = {}
     n_parts = 0
     subtree_weight: Dict[int, float] = {}
-
-    def _cls(vertex: int):
-        return class_of.get(vertex) if class_of is not None else None
-
     for root in roots:
         # Iterative post-order.
         stack = [(root, False)]
@@ -178,29 +148,11 @@ def _greedy_cut(
                     stack.append((child, False))
                 continue
             weight = node_weights[vertex]
-            vertex_class = _cls(vertex)
-            # Heaviest-first keeps light children together under the cap;
-            # same-class-first gives batched solves their wide buckets.
-            kids = sorted(
-                children[vertex],
-                key=lambda c: (
-                    not (
-                        vertex_class is not None
-                        and _cls(c) == vertex_class
-                    ),
-                    -subtree_weight[c],
-                ),
-            )
-            for child in kids:
-                same_class = (
-                    vertex_class is not None and _cls(child) == vertex_class
-                )
-                limit = (
-                    capacity * (1.0 + affinity_slack)
-                    if same_class
-                    else capacity
-                )
-                if weight + subtree_weight[child] > limit:
+            # Heaviest-first keeps light children together under the cap.
+            for child in sorted(
+                children[vertex], key=lambda c: -subtree_weight[c]
+            ):
+                if weight + subtree_weight[child] > capacity:
                     cuts[child] = True
                     n_parts += 1  # the child subtree becomes its own part
                 else:

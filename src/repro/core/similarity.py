@@ -9,7 +9,7 @@ The paper evaluates five functions. We expose them as *distance weights*
 * ``fidelity1`` - 1 - |Tr(A^dag B)|^2 / d^2   (process fidelity; the paper's
   best performer in Fig 8. The paper writes d4 with the Uhlmann
   state-fidelity formula, which is ill-defined on unitaries; process fidelity
-  is the standard unitary analogue and we substitute it, see DESIGN.md.)
+  is the standard unitary analogue and we substitute it.)
 * ``inverse_fidelity`` - |Tr(A^dag B)|^2 / d^2  (the paper's fifth function:
   the inverse of the fourth, deliberately preferring *dissimilar* pairs as a
   negative control; Fig 8 shows it increases iterations.)

@@ -137,9 +137,7 @@ class SearchState:
 
     The doubling bracket (give up after ``max_doublings`` failed doublings,
     returning the least-bad probe), then bisection bounded by the probe
-    budget. :func:`binary_search_latency` drives one state;
-    :func:`~repro.qoc.grape_batched.binary_search_latency_batched` drives K
-    in lockstep rounds, so both follow one probe schedule. ``floor`` is
+    budget. :func:`binary_search_latency` drives it. ``floor`` is
     :func:`speed_limit_steps`: a bisection probe at or below it is
     :meth:`below_floor`, and its caller absorbs a :func:`skipped_probe`
     instead of a solve. Doubling probes always run.

@@ -1,11 +1,12 @@
 """GRAPE: gradient ascent pulse engineering on piecewise-constant controls.
 
 The optimizer matches the paper's setup (Sec IV-D): BFGS-family quasi-Newton
-steps (we default to L-BFGS-B so amplitude bounds are honoured), a target
-infidelity of 1e-4, and a wall-clock budget per solve. The solve stops the
-moment the target is reached — iteration counts are the paper's primary cost
-metric (Sec VI-G), so early termination must be exact, not left to the
-optimizer's own tolerances.
+steps, a target infidelity of 1e-4, and a wall-clock budget per solve. The
+optimizer is L-BFGS-B, the bounded member of that family: every point it
+evaluates respects the drive bounds, so the cost it reports is the cost of
+the pulse it returns. The solve stops the moment the target is reached —
+iteration counts are the paper's primary cost metric (Sec VI-G), so early
+termination must be exact, not left to the optimizer's own tolerances.
 """
 
 from __future__ import annotations
@@ -140,27 +141,16 @@ def run_grape(
     start = time.monotonic()
     message = ""
     try:
-        if config.optimizer == "BFGS":
-            # Unbounded BFGS as in the paper; amplitudes are clipped after.
-            result = optimize.minimize(
-                objective,
-                x0,
-                jac=True,
-                method="BFGS",
-                callback=tracker.on_iteration,
-                options={"maxiter": config.max_iterations, "gtol": 1e-12},
-            )
-        else:
-            result = optimize.minimize(
-                objective,
-                x0,
-                jac=True,
-                method=config.optimizer,
-                bounds=list(zip(-bounds_vec, bounds_vec)),
-                callback=tracker.on_iteration,
-                options={"maxiter": config.max_iterations, "ftol": 1e-16,
-                         "gtol": 1e-12},
-            )
+        result = optimize.minimize(
+            objective,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(-bounds_vec, bounds_vec)),
+            callback=tracker.on_iteration,
+            options={"maxiter": config.max_iterations, "ftol": 1e-16,
+                     "gtol": 1e-12},
+        )
         message = str(result.message)
     except _Budget as stop:
         message = str(stop)

@@ -99,9 +99,12 @@ Thread vs process backends
 Both implement one interface (``map_parts``), mirroring the
 ``GrapeEngine``/``ModelEngine`` split — pick per deployment:
 
-* ``thread`` (default): zero serialization cost, shared engine caches.
-  GRAPE's inner loops are BLAS calls that release the GIL, so threads
-  overlap well for medium groups; pure-Python stages still serialize.
+* ``thread`` (default): zero serialization cost, shared engine caches,
+  but no parallel GRAPE. A cost/gradient evaluation of these small
+  problems is bound by numpy call overhead and holds the GIL: twelve
+  random 2-qubit solves took no less time on 2 threads than serially,
+  and about 40% less on 2 processes (numbers in ``executor``'s module
+  docstring). ROADMAP item 1 chooses the default by measurement.
 * ``process``: true parallelism regardless of the GIL, at the cost of
   pickling the engine and groups per part and ~100 ms of pool startup —
   the right choice for long solves (real GRAPE at scale). Single-part

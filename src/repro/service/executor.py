@@ -2,12 +2,22 @@
 
 Three local backends behind one interface (mirroring the ``GrapeEngine`` /
 ``ModelEngine`` split): ``serial`` runs parts in the calling thread,
-``thread`` uses a ``ThreadPoolExecutor`` (GRAPE spends its time in BLAS,
-which releases the GIL), ``process`` uses a ``ProcessPoolExecutor`` with
-picklable per-part payloads (module-level worker function, engine shipped by
-pickle, records shipped back). The same ``map_parts`` seam also crosses
-hosts: :class:`repro.service.remote.RemoteExecutor` dispatches the parts
-to connected ``repro worker`` processes — any object with ``map_parts``
+``thread`` uses a ``ThreadPoolExecutor``, ``process`` uses a
+``ProcessPoolExecutor`` with picklable per-part payloads (module-level
+worker function, engine shipped by pickle, records shipped back).
+
+Threads do not overlap GRAPE solves. For these 2- and 4-dimensional
+problems a cost/gradient evaluation is bound by numpy call overhead, not by
+BLAS, so it holds the GIL. On a 2-vCPU box with OpenBLAS at 1 thread,
+twelve solves of random 2-qubit targets (24 slices, a 300-iteration
+budget, 3,196 iterations in all) took, over six rounds, 1.5–2.4 s
+serially (median 2.3), 2.1–3.3 s on 2 threads (median 2.8) and 1.3–1.4 s
+on 2 processes. ROADMAP item 1 chooses the default backend by
+measurement.
+
+The same ``map_parts`` seam also crosses hosts:
+:class:`repro.service.remote.RemoteExecutor` dispatches the parts to
+connected ``repro worker`` processes — any object with ``map_parts``
 passes straight through :func:`make_backend`, so the service never knows
 where its solves ran. Because every :class:`GroupTask` carries its warm
 seed resolved from the batch snapshot (see below), where a part runs can
@@ -15,12 +25,6 @@ never change what it produces.
 
 A worker runs its part through :func:`repro.core.dynamic.compile_in_order`,
 the compile walk static pre-compilation and dynamic compilation use too.
-Orthogonally to *where* a part runs, ``RunConfig.batched_grape`` (the
-``repro batch --engine grape-batched`` flag) changes *how* that walk runs
-it: same-class store-seeded tasks share one cross-pulse batched kernel
-stream instead of K sequential solves (the exact rules are in
-:func:`~repro.core.dynamic.compile_in_order`). The serial walk remains the
-default and the bit-identity oracle.
 
 Warm-start modes
 ----------------
@@ -102,12 +106,9 @@ def run_part(
     The tasks go through :func:`repro.core.dynamic.compile_in_order` in
     part order: a task with ``parent_local`` set (chain mode) warm-starts
     from its parent's fresh record, every other task from its store seed,
-    each with its canonical-key RNG tag. With ``RunConfig.batched_grape``
-    set, same-class seeded tasks share the walk's batched lane; the
-    ``solve`` stage then includes ``solve.batched`` time, and the
-    ``grape.batched.*`` counters report stream occupancy. The
-    ``probes_skipped`` counter sums the search probes recorded as failed
-    below the speed limit without a solve.
+    each with its canonical-key RNG tag. The ``probes_skipped`` counter
+    sums the search probes recorded as failed below the speed limit
+    without a solve.
 
     ``submitted_at`` is a ``time.perf_counter`` reading taken when the part
     was handed to the pool; the gap to the part's first instruction is the
@@ -129,7 +130,6 @@ def run_part(
         "solve",
     )
     stages = {name: stat.total_s for name, stat in perf.stages.items()}
-    stages["solve"] = stages.get("solve", 0.0) + stages.get("solve.batched", 0.0)
     counters = dict(perf.counters)
     counters["groups"] = len(tasks)
     counters["iterations"] = sum(record.iterations for record in records)
@@ -164,7 +164,8 @@ class SerialBackend:
 
 
 class ThreadBackend:
-    """One OS thread per part; BLAS releases the GIL during solves."""
+    """One OS thread per part. GRAPE solves hold the GIL, so threads do
+    not run them in parallel (measured in the module docstring)."""
 
     name = "thread"
 

@@ -75,13 +75,8 @@ def _make_engine(args):
 
     config = PipelineConfig(policy_name=args.policy)
     engine = None
-    if args.engine in ("grape", "grape-batched"):
-        run = config.run.fast()
-        if args.engine == "grape-batched":
-            run = run.batched()
-        if getattr(args, "class_parts", False):
-            run = run.class_parts()
-        engine = GrapeEngine(config.physics, run)
+    if args.engine == "grape":
+        engine = GrapeEngine(config.physics, config.run.fast())
     return config, engine
 
 
@@ -121,25 +116,11 @@ def _make_service(args, announce: IO[str] = sys.stdout) -> CompileService:
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engine", choices=("model", "grape", "grape-batched"),
+        "--engine", choices=("model", "grape"),
         default="model",
-        help="model = instant cost-model solves; grape = real optimizer "
-             "(the serial loop, the bit-identity oracle); grape-batched = "
-             "same optimizer with each worker's same-(dim, steps) groups "
-             "solved through one batched kernel stream — identical "
-             "target/budget semantics and store fingerprint (stores "
-             "interoperate), results equal to serial at kernel precision "
-             "(1e-9) rather than bit-identically",
+        help="model = instant cost-model solves; grape = real optimizer",
     )
     parser.add_argument("--policy", default="map2b4l")
-    parser.add_argument(
-        "--class-parts", action="store_true",
-        help="class-aware batch partitioning: the planner packs "
-             "same-solve-class groups into the same part (bounded balance "
-             "slack) so --engine grape-batched sees wide batched buckets; "
-             "a planning preference only — pulse content and the store "
-             "fingerprint are unchanged",
-    )
 
 
 def _workers_arg(value: str):

@@ -121,17 +121,10 @@ class CompilePlanner:
         pipeline,
         similarity: str = "fidelity1",
         perf: Optional[PerfRecorder] = None,
-        class_aware: Optional[bool] = None,
     ) -> None:
         self.pipeline = pipeline
         self.similarity = similarity
         self.perf = recorder_or_null(perf)
-        if class_aware is None:
-            # Follow the engine's run config (``--class-parts``); engines
-            # without one (bare ModelEngine) default to weight-only cuts.
-            run = getattr(pipeline.engine, "run", None)
-            class_aware = bool(getattr(run, "class_partition", False))
-        self.class_aware = bool(class_aware)
 
     def plan(self, circuits: Sequence[Circuit]) -> BatchPlan:
         """Front end, batch-wide dedup and the trivial split; no MST yet."""
@@ -203,18 +196,7 @@ class CompilePlanner:
             weights = modelled_node_weights(
                 sequence, uncovered, self._iteration_model()
             )
-            class_of = None
-            solve_class = getattr(self.pipeline.engine, "solve_class", None)
-            if self.class_aware and callable(solve_class):
-                # Same-class vertices pack into the same part so the
-                # batched-GRAPE kernels see wide buckets (PR 8 follow-on);
-                # virtual-diagonal groups class as None and never attract.
-                class_of = {
-                    v: solve_class(uncovered[v]) for v in sequence.order
-                }
-            partition = partition_tree(
-                sequence, weights, n_workers, class_of=class_of
-            )
+            partition = partition_tree(sequence, weights, n_workers)
         worker_plans = [
             WorkerPlan(worker=w, indices=list(part), weight=weight)
             for w, (part, weight) in enumerate(

@@ -2,8 +2,9 @@
 
 The physical constants follow the paper where it states them (two-level spin
 qubit at omega/2pi = 3.9 GHz, fidelity target 1e-4, Melbourne gate times) and
-standard superconducting-control values elsewhere; see DESIGN.md for the
-substitution table.
+standard superconducting-control values elsewhere: a bounded X/Y drive per
+qubit (~30 MHz) and one bounded XX coupler per pair (~4 MHz), in 2 ns
+slices.
 """
 
 from __future__ import annotations
@@ -44,35 +45,15 @@ class RunConfig:
     target_infidelity: float = 1e-4  # paper: fidelity cost 1e-4
     max_iterations: int = 300  # per GRAPE solve
     time_budget_s: float = 600.0  # paper: 600 s per binary-search probe
-    optimizer: str = "L-BFGS-B"  # paper uses BFGS; bounded variant by default
     binary_search_max_probes: int = 12
     cold_start_noise: float = 0.05  # fraction of drive_max for random init
     seed: int = 20200301
-    # Opt-in cross-pulse batching: workers solve same-class groups through
-    # one batched kernel stream (see qoc/grape_batched.py). Off by default —
-    # the serial path is the bit-identity oracle. Deliberately NOT part of
-    # the engine fingerprint: both paths honour the same target/budget, so
-    # their stores interoperate (a serial-populated store warm-seeds a
-    # batched engine and vice versa).
-    batched_grape: bool = False
-    # Opt-in class-aware partitioning: the batch planner packs
-    # same-solve-class groups into the same part so the batched driver
-    # sees wide buckets (core/partition.py's affinity term). A planning
-    # preference only — pulse content is untouched — so, like
-    # ``batched_grape``, deliberately NOT part of the engine fingerprint.
-    class_partition: bool = False
+    # GRAPE always runs L-BFGS-B: the bounded member of the BFGS family the
+    # paper uses (Sec IV-D), so a solve never leaves the drive bounds.
 
     def fast(self) -> "RunConfig":
         """Scaled-down budget for tests and quick benches."""
         return replace(self, max_iterations=120, binary_search_max_probes=8)
-
-    def batched(self) -> "RunConfig":
-        """Same budget, cross-pulse batched GRAPE driver enabled."""
-        return replace(self, batched_grape=True)
-
-    def class_parts(self) -> "RunConfig":
-        """Same budget, class-aware batch partitioning enabled."""
-        return replace(self, class_partition=True)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 RevLib circuit files are not available offline, so each named benchmark is a
 synthetic Toffoli network whose gate counts match the paper's Table II row
 (Toffoli count recovered from the t/tdg/h/cx fingerprint: one decomposed
-Toffoli = 6 cx + 2 h + 4 t + 3 tdg). See DESIGN.md's substitution table.
+Toffoli = 6 cx + 2 h + 4 t + 3 tdg). Only the gate counts follow the paper;
+the wiring of each network is generated, not RevLib's.
 """
 
 from __future__ import annotations

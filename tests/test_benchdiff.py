@@ -72,6 +72,26 @@ def test_layer_prints_the_traced_pair(benchdiff, capsys):
     assert re.search(r"0\.242 -> 0\.0234 s\s+-90\.3%", rows["latency.s"])
 
 
+def test_layer_prints_every_traced_pair(benchdiff, tmp_path, capsys):
+    """``traced`` may list one pair per workload, each with its command."""
+    with open(TRACED) as handle:
+        bench = json.load(handle)
+    with open(os.path.join(ROOT, "BENCH_pr20.json")) as handle:
+        cold = json.load(handle)
+    bench["traced"] = [
+        {"command": bench.pop("traced_command"), **bench["traced"]},
+        {"command": cold["traced_command"], **cold["traced"]},
+    ]
+    listed = tmp_path / "BENCH_listed.json"
+    listed.write_text(json.dumps(bench))
+    assert benchdiff.main([str(listed)] + CLAIM + ["--layer", "grape_iters"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("traced pair:")]
+    assert [lines[i].split()[5] for i in starts] == ["remote-churn", "cold-grape"]
+    assert re.search(r"72960 -> 72960 count", lines[starts[0] + 1])
+    assert re.search(r"17763 -> 12123 count", lines[starts[1] + 1])
+
+
 def test_layer_must_name_a_per_layer_metric(benchdiff):
     with pytest.raises(SystemExit) as exc:
         benchdiff.main([TRACED, "--layer", "req_p50_ms"])

@@ -7,9 +7,7 @@ bounded. They check what only a real process shows: that a fleet of
 ``repro store serve`` + ``repro serve --workers remote`` + ``repro
 worker`` solves each group once, serves repeats from the store and shuts
 down cleanly with exit 0 everywhere; that ``repro store stats`` prints
-its totals and tables; that ``repro dashboard`` exits 0 on SIGINT; and
-that the batched GRAPE lane reports its perf names through the process
-backend.
+its totals and tables; and that ``repro dashboard`` exits 0 on SIGINT.
 """
 
 import json
@@ -192,26 +190,3 @@ def test_dashboard_exits_zero_on_sigint(tmp_path, spawn):
         assert dash.wait() == 0, dash.log()
     finally:
         server.stop()
-
-
-def test_batched_grape_lane_reports_through_process_backend(tmp_path):
-    """``--engine grape-batched --backend process``: the perf block names
-    the batched solve stage and counts at least one same-class bucket."""
-    result = _repro(
-        "batch", "qft_4", "--store", str(tmp_path / "store"),
-        "--engine", "grape-batched", "--backend", "process",
-        "--workers", "2", "--json",
-    )
-    assert result.returncode == 0, result.stderr
-    perf = json.loads(result.stdout)["perf"]
-    stages = [stage["name"] for stage in perf["stages"]]
-    assert any(
-        name.startswith("execute.worker") and name.endswith(".solve.batched")
-        for name in stages
-    ), stages
-    buckets = sum(
-        value for name, value in perf["counters"].items()
-        if name.startswith("execute.worker")
-        and name.endswith(".grape.batched.buckets")
-    )
-    assert buckets >= 1, perf["counters"]

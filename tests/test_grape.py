@@ -92,12 +92,6 @@ def test_grape_deterministic_given_seed(cfg, model1):
     assert np.allclose(a.pulse.amplitudes, b.pulse.amplitudes)
 
 
-def test_bfgs_optimizer_variant(model1):
-    cfg = RunConfig(max_iterations=400, time_budget_s=60.0, optimizer="BFGS")
-    target = Circuit(1).add("x", 0).unitary()
-    assert run_grape(target, model1, n_steps=8, config=cfg).converged
-
-
 # ------------------------------------------------------------- binary search
 def test_binary_search_finds_minimal_latency(cfg, model1):
     target = Circuit(1).add("x", 0).unitary()

@@ -98,6 +98,63 @@ def test_partition_balances_modelled_cost(pipeline):
     assert plan.modelled_speedup > 1.5
 
 
+#: The weight-only tree cut's exact parts: (MST vertex indices, modelled
+#: weight) per worker plan, for three batches and worker counts.
+PINNED_CUTS = [
+    (
+        ("4gt4-v0", "ex2"),
+        2,
+        [
+            ([11], 600.0),
+            ([0, 14, 16, 28, 10, 19, 20, 1, 23, 25], 4488.456710674493),
+            ([2, 3, 4, 5, 29, 6, 12, 13, 24, 17, 7, 8, 26], 5675.405845398161),
+            ([9, 22, 21], 1595.1471862576143),
+            ([27], 600.0),
+            ([18, 15], 85.02943725152285),
+        ],
+    ),
+    (
+        ("qft_16",),
+        3,
+        [
+            (
+                [17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 2, 1, 0],
+                3821.0369641067755,
+            ),
+            ([4], 600.0),
+            ([3], 60.0),
+        ],
+    ),
+    (
+        ("qft_16",),
+        4,
+        [
+            ([17, 16, 15, 14, 13, 12, 11, 10], 1860.0045176592573),
+            ([9, 8, 7, 6, 5, 2, 1, 0], 1961.0324464475184),
+            ([4], 600.0),
+            ([3], 60.0),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "names, n_workers, expected",
+    PINNED_CUTS,
+    ids=["+".join(names) + f"@{k}" for names, k, _ in PINNED_CUTS],
+)
+def test_weight_only_cut_is_pinned(pipeline, names, n_workers, expected):
+    planner = CompilePlanner(pipeline)
+    plan = planner.plan([build_named(name) for name in names])
+    plan = planner.cut(plan, plan.uncovered, n_workers)
+    assert [p.indices for p in plan.worker_plans] == [
+        indices for indices, _ in expected
+    ]
+    assert [p.weight for p in plan.worker_plans] == pytest.approx(
+        [weight for _, weight in expected]
+    )
+
+
 def test_plan_perf_stages_recorded(pipeline):
     perf = PerfRecorder()
     planner = CompilePlanner(pipeline, perf=perf)

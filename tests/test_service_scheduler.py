@@ -268,60 +268,6 @@ def test_stats_shape_and_shed_counter():
         assert key in row
 
 
-# ----------------------------------------------------- class-aware parity
-def test_class_aware_parts_widen_solve_class_buckets(config):
-    """Satellite: ``--class-parts`` packs same-solve-class groups into the
-    same part so the batched-GRAPE driver sees wider buckets — without
-    changing which groups are planned or the modelled total weight."""
-    programs = [qft(5), qft(6)]
-    plain_engine = GrapeEngine(config.physics, config.run.fast())
-    plain = CompilePlanner(AccQOC(config, engine=plain_engine))
-    assert plain.class_aware is False  # default run config: weight-only
-
-    class_engine = GrapeEngine(
-        config.physics, config.run.fast().class_parts()
-    )
-    aware = CompilePlanner(AccQOC(config, engine=class_engine))
-    assert aware.class_aware is True  # picked up from RunConfig
-
-    plan_plain = plain.plan(programs)
-    plan_plain = plain.cut(plan_plain, plan_plain.uncovered, 4)
-    plan_aware = aware.plan(programs)
-    plan_aware = aware.cut(plan_aware, plan_aware.uncovered, 4)
-
-    # parity: the same uncovered work, every vertex cut exactly once
-    assert {g.key() for g in plan_plain.uncovered} == {
-        g.key() for g in plan_aware.uncovered
-    }
-    for plan in (plan_plain, plan_aware):
-        seen = sorted(i for p in plan.worker_plans for i in p.indices)
-        assert seen == list(range(len(plan.uncovered)))
-        # part weights stay honest: they sum to the modelled serial cost
-        assert sum(p.weight for p in plan.worker_plans) == pytest.approx(
-            plan.serial_weight
-        )
-
-    def batchable(plan, engine):
-        """Solves the batched driver saves: sum of (bucket width - 1)
-        over per-part same-class buckets."""
-        saved, widest = 0, 0
-        for part in plan.worker_plans:
-            buckets = {}
-            for v in part.indices:
-                cls = engine.solve_class(plan.uncovered[v])
-                if cls is not None:
-                    buckets[cls] = buckets.get(cls, 0) + 1
-            saved += sum(n - 1 for n in buckets.values())
-            widest = max([widest] + list(buckets.values()))
-        return saved, widest
-
-    saved_plain, _ = batchable(plan_plain, plain_engine)
-    saved_aware, widest_aware = batchable(plan_aware, class_engine)
-    assert widest_aware >= 2  # real buckets exist for the batched driver
-    assert saved_aware >= saved_plain
-    assert saved_aware > 0
-
-
 # ----------------------------------------------------- fabric elasticity
 def test_worker_joining_late_serves_the_batch(tmp_path, config):
     """Elasticity: no worker at submit time — one dials in inside the

@@ -22,7 +22,6 @@ from repro.perf import PerfRecorder
 from repro.qoc.binary_search import binary_search_latency, speed_limit_steps
 from repro.qoc.estimator import LatencyEstimator
 from repro.qoc.grape import run_grape
-from repro.qoc.grape_batched import binary_search_latency_batched
 from repro.qoc.hamiltonian import ControlModel
 from repro.service import CompileService
 from repro.service.protocol import resolve_program
@@ -59,10 +58,6 @@ def two_qubit_groups():
 
 def _steps(search):
     return [probe.n_steps for probe in search.probes]
-
-
-def _skipped_steps(search):
-    return [probe.n_steps for probe in search.probes if probe.skipped]
 
 
 # ------------------------------------------------------------------ floors
@@ -146,32 +141,6 @@ def test_skipping_leaves_the_search_identical(monkeypatch, model2, warm):
     assert without.total_iterations - with_floor.total_iterations == sum(
         without.probes[i].iterations for i in skipped
     )
-
-
-# ------------------------------------------------------------------ parity
-def test_serial_and_batched_searches_skip_the_same_steps(model2):
-    targets = [
-        Circuit(2).add("cx", 0, 1).unitary(),
-        Circuit(2).add("cz", 0, 1).add("h", 0).unitary(),
-        Circuit(2).add("cx", 0, 1).add("rx", 0, params=(0.3,)).unitary(),
-    ]
-    tags = [f"floor-parity:{i}" for i in range(len(targets))]
-    serial = [
-        binary_search_latency(t, model2, FAST, hi_steps=40, rng=derive_rng(tag))
-        for t, tag in zip(targets, tags)
-    ]
-    batched = binary_search_latency_batched(
-        targets,
-        model2,
-        FAST,
-        hi_steps=40,
-        rngs=[derive_rng(tag) for tag in tags],
-    )
-    assert any(s.probes_skipped for s in serial)
-    for one, many in zip(serial, batched):
-        assert _skipped_steps(one) == _skipped_steps(many)
-        assert _steps(one) == _steps(many)
-        assert one.best.n_steps == many.best.n_steps
 
 
 # ---------------------------------------------------------------- counters
