@@ -16,7 +16,7 @@ Usage::
     python -m repro store serve --root /tmp/pulses --port 7777  # store server
     python -m repro serve --store remote://db:7777 --workers remote --port 0
     python -m repro serve --store /tmp/pulses --workers remote --port 0 \\
-        --parts-per-worker 2 --fabric-policy steal --max-queue 64
+        --parts-per-worker 2 --max-queue 64
     python -m repro worker --connect solver:7778 --stats  # fabric occupancy
     python -m repro serve --store "remote://db1:7777|db2:7777"  # 2 replicas
     python -m repro batch qft_16 --store "remote://db1:7777|db2:7777?w=majority"
@@ -33,7 +33,6 @@ Usage::
     python -m repro loadgen --scenario smoke --reps 2 --out /tmp/lg  # run table
     python -m repro loadgen --scenario smoke-replica-kill \\
         --gate slo/loadgen-smoke.json --fail-on error      # SLO-gated chaos run
-    python -m repro loadgen --chain-study --reps 2 --out /tmp/lg  # warm modes
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ a search that solved every probe; only the wasted iterations go away.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -132,88 +133,6 @@ def skipped_probe(
     )
 
 
-class SearchState:
-    """One latency binary search, stepped probe by probe.
-
-    The doubling bracket (give up after ``max_doublings`` failed doublings,
-    returning the least-bad probe), then bisection bounded by the probe
-    budget. :func:`binary_search_latency` drives it. ``floor`` is
-    :func:`speed_limit_steps`: a bisection probe at or below it is
-    :meth:`below_floor`, and its caller absorbs a :func:`skipped_probe`
-    instead of a solve. Doubling probes always run.
-    """
-
-    def __init__(
-        self,
-        hi_steps: int,
-        lo_steps: int,
-        max_doublings: int,
-        max_probes: int,
-        floor: int = 0,
-    ) -> None:
-        self.probes: List[GrapeResult] = []
-        self.best: Optional[GrapeResult] = None
-        self.lo = lo_steps
-        self.hi = max(hi_steps, lo_steps, 1)
-        self.doublings_left = max_doublings
-        self.max_probes = max_probes
-        self.floor = floor
-        self.bisecting = False
-        self.done = False
-
-    def next_steps(self) -> int:
-        if self.bisecting:
-            return (self.lo + self.hi) // 2
-        return self.hi
-
-    def below_floor(self) -> bool:
-        """The next probe is a bisection probe that cannot converge."""
-        return self.bisecting and self.next_steps() <= self.floor
-
-    def absorb(self, result: GrapeResult) -> None:
-        self.probes.append(result)
-        if not self.bisecting:
-            if result.converged:
-                self.best = result
-                self.hi = result.n_steps
-                self.bisecting = True
-                self._check_bisect_done()
-            elif self.doublings_left <= 0:
-                self.best = min(self.probes, key=lambda p: p.infidelity)
-                self.done = True
-            else:
-                self.doublings_left -= 1
-                self.hi *= 2
-        else:
-            mid = (self.lo + self.hi) // 2  # the probe that just ran
-            if result.converged:
-                self.best = result
-                self.hi = mid
-            else:
-                self.lo = mid + 1
-            self._check_bisect_done()
-
-    def skip_below_floor(
-        self,
-        model: ControlModel,
-        config: RunConfig,
-        initial_pulse: Optional[Pulse],
-        rng: Optional[np.random.Generator],
-    ) -> None:
-        """Absorb a :func:`skipped_probe` for every next probe below the floor."""
-        while not self.done and self.below_floor():
-            self.absorb(
-                skipped_probe(model, self.next_steps(), config, initial_pulse, rng)
-            )
-
-    def result(self) -> BinarySearchResult:
-        return BinarySearchResult(best=self.best, probes=self.probes)
-
-    def _check_bisect_done(self) -> None:
-        if not (self.lo < self.hi and len(self.probes) < self.max_probes):
-            self.done = True
-
-
 def binary_search_latency(
     target: np.ndarray,
     model: ControlModel,
@@ -228,27 +147,40 @@ def binary_search_latency(
 
     ``initial_pulse`` warm-starts *every* probe (resampled to the probe's
     step count) — this is how MST-accelerated dynamic compilation plugs in.
-    Bisection probes at or below :func:`speed_limit_steps` are recorded by
-    :func:`skipped_probe` instead of solved.
+    The upper bracket doubles until a probe converges; after
+    ``max_doublings`` failed doublings (a negative count gives up after the
+    first failed probe) the search returns the least-bad probe. Bisection
+    then narrows the bracket within ``config.binary_search_max_probes``
+    probes. Bisection probes at or below :func:`speed_limit_steps` are
+    recorded by :func:`skipped_probe` instead of solved; doubling probes
+    always run.
     """
-    state = SearchState(
-        hi_steps,
-        lo_steps,
-        max_doublings,
-        config.binary_search_max_probes,
-        speed_limit_steps(target, model, config.target_infidelity),
-    )
-    while True:
-        state.skip_below_floor(model, config, initial_pulse, rng)
-        if state.done:
-            return state.result()
-        state.absorb(
-            run_grape(
-                target,
-                model,
-                state.next_steps(),
-                config,
-                initial_pulse=initial_pulse,
-                rng=rng,
-            )
+    floor = speed_limit_steps(target, model, config.target_infidelity)
+    probes: List[GrapeResult] = []
+    lo, hi = lo_steps, max(hi_steps, lo_steps, 1)
+    for doubling in itertools.count():
+        result = run_grape(
+            target, model, hi, config, initial_pulse=initial_pulse, rng=rng
         )
+        probes.append(result)
+        if result.converged:
+            break
+        if doubling >= max_doublings:
+            least_bad = min(probes, key=lambda p: p.infidelity)
+            return BinarySearchResult(best=least_bad, probes=probes)
+        hi *= 2
+    best, hi = result, result.n_steps
+    while lo < hi and len(probes) < config.binary_search_max_probes:
+        mid = (lo + hi) // 2
+        if mid <= floor:
+            result = skipped_probe(model, mid, config, initial_pulse, rng)
+        else:
+            result = run_grape(
+                target, model, mid, config, initial_pulse=initial_pulse, rng=rng
+            )
+        probes.append(result)
+        if result.converged:
+            best, hi = result, mid
+        else:
+            lo = mid + 1
+    return BinarySearchResult(best=best, probes=probes)

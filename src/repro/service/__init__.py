@@ -204,7 +204,6 @@ rather than the accept loop. The flag map::
 
     repro serve --store /data/s --port 7400 --workers remote \\
         --parts-per-worker 2 \\      # reservation depth per worker
-        --fabric-policy steal \\     # or 'static' (LPT baseline, no steals)
         --max-queue 64               # admission bound on the front door
 
 *Placement*: each worker owns a bounded reservation queue
@@ -216,8 +215,7 @@ the same per-part timings the batch report files under
 worker that drains its queue pulls from the shared overflow pool, then
 steals the *tail* of the most-backlogged straggler's queue. Stealing and
 disconnects move parts but never change bytes: warm seeds travel inside
-each task, so serial execution stays the bit-identity oracle
-(``--fabric-policy static`` restores plain LPT for A/B benches).
+each task, so serial execution stays the bit-identity oracle.
 
 *Backpressure*: ``--max-queue`` bounds the async front door's planning
 queue. A request over the bound is refused with the typed shed response
@@ -231,9 +229,7 @@ flooder sheds before it starves anyone else.
 --connect host:port --stats``) reports ``n_dispatched`` / ``n_steals`` /
 ``n_reassigned`` / ``n_shed``, ``parts_queued``/``parts_in_flight``, and
 per-worker rows (``queued``, ``in_flight``, ``rate``, ``steals_won``,
-``steals_lost``). The same numbers surface as ``schedule.*`` perf
-counters (``schedule.dispatched/steals/reassigned/shed``, plus the
-``schedule.occupancy`` samples and the ``schedule.assign`` stage), on
+``steals_lost``). The same numbers surface on
 ``repro dashboard --fabric host:port`` (per-worker table and
 ``repro_fabric_*`` metrics), and in ``repro store audit --fabric
 host:port`` — sheds beyond ~5% of admissions raise
@@ -255,7 +251,6 @@ evidence::
     repro loadgen --scenario smoke-replica-kill \\
         --gate slo/loadgen-smoke.json --fail-on error
     repro loadgen --scenario my-scenario.json   # spec file: Scenario fields
-    repro loadgen --chain-study --reps 2        # warm='store' vs 'chain'
 
 *Choosing a scenario*: ``smoke`` is the fast local sanity run (closed
 loop, no subprocess topology beyond the server). ``smoke-replica-kill``
@@ -323,7 +318,6 @@ from repro.service.loadgen import (
     gate_exit_code,
     load_scenario,
     load_slo,
-    run_chain_study,
     run_scenario,
 )
 from repro.service.executor import (
@@ -347,7 +341,6 @@ from repro.service.remote import (
 from repro.service.replication import QuorumError, ReplicatedStore
 from repro.service.scheduler import (
     CLOSE_FABRIC,
-    SCHEDULER_POLICIES,
     FabricScheduler,
     ScheduledPart,
     WorkerSlot,
@@ -391,7 +384,6 @@ __all__ = [
     "ReplicatedStore",
     "RequestReport",
     "RetryPolicy",
-    "SCHEDULER_POLICIES",
     "ScheduledPart",
     "SerialBackend",
     "ShardedStore",
@@ -413,7 +405,6 @@ __all__ = [
     "open_store",
     "parse_route",
     "reshard",
-    "run_chain_study",
     "run_scenario",
     "worker_loop",
     "worst_severity",

@@ -36,9 +36,9 @@ see many requests and clients at once:
   ``retry_after_s`` hint (batch-wall EWMA × batches ahead, scaled up when
   the remote fabric reports a deep part queue), instead of buffering
   without bound until the planner OOMs. Sheds are counted here
-  (``n_shed``, ``schedule.shed``) and reported to the solve backend's
-  ``note_shed`` when it has one, so the fabric ``stats`` verb and the
-  auditor's ``elevated_load_shedding`` check see admission pressure.
+  (``n_shed``) and reported to the solve backend's ``note_shed`` when it
+  has one, so the fabric ``stats`` verb and the auditor's
+  ``elevated_load_shedding`` check see admission pressure.
 * **Per-client fairness** — pending requests queue per client and window
   assembly round-robins one request per client per pass, so one client
   flooding the socket cannot starve another's single request out of
@@ -46,10 +46,8 @@ see many requests and clients at once:
   what fills the bounded queue).
 
 Queue time is recorded per request under ``serve.queue_wait`` (the window,
-when the server was busy, plus any backpressure from ``max_inflight``),
-batch sizes under
-``serve.batch_requests`` — both visible in ``repro perf``-style reports
-via the server's :class:`~repro.perf.instrument.PerfRecorder`.
+when the server was busy, plus any backpressure from ``max_inflight``)
+in the server's :class:`~repro.perf.instrument.PerfRecorder`.
 
 Deadlock note: the executor pool has exactly ``max_inflight`` threads and
 batch *assembly* is gated by a semaphore of the same size (a batch is
@@ -228,7 +226,6 @@ class AsyncCompileServer:
             # a shed must stay cheap or shedding itself becomes the
             # bottleneck under exactly the flood it exists for.
             self.n_shed += 1
-            self.perf.count("schedule.shed")
             note_shed = getattr(self.service.backend, "note_shed", None)
             if callable(note_shed):
                 note_shed()  # fabric stats / audit see admission pressure
@@ -393,7 +390,6 @@ class AsyncCompileServer:
         try:
             for pending in batch:
                 self.perf.record_since("serve.queue_wait", pending.enqueued_at)
-            self.perf.count("serve.batch_requests", len(batch))
             circuits = [p.circuit for p in batch]
             try:
                 report = await loop.run_in_executor(

@@ -595,7 +595,7 @@ function renderFabric(fab) {
               return; }
   head.style.display = ""; table.style.display = "";
   document.getElementById("fabric-sub").textContent = fab.up
-    ? "(" + fab.address + " \\u00b7 policy " + fab.policy + " \\u00b7 " +
+    ? "(" + fab.address + " \\u00b7 " +
       fmt(fab.parts_queued) + " queued \\u00b7 " + fmt(fab.n_steals) +
       " steals \\u00b7 " + fmt(fab.n_shed) + " shed)"
     : "(" + fab.address + " \\u2013 unreachable)";

@@ -99,7 +99,6 @@ def _make_service(args, announce: IO[str] = sys.stdout) -> CompileService:
             host=args.worker_host,
             port=args.worker_port,
             parts_per_worker=args.parts_per_worker,
-            policy=args.fabric_policy,
         )
         n_workers = None  # partition count falls back to the config default
         print(json.dumps({"workers": backend.address}), file=announce, flush=True)
@@ -168,13 +167,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help="with --workers remote: parts each worker may hold (1 in "
              "flight + the rest reserved in its queue, the stealable "
              "backlog); overflow waits in a shared pool",
-    )
-    parser.add_argument(
-        "--fabric-policy", choices=("steal", "static"), default="steal",
-        help="with --workers remote: 'steal' = capability-weighted EWMA "
-             "placement with work stealing from stragglers; 'static' = "
-             "classic LPT assignment at submission, never rebalanced "
-             "(the pre-scheduler baseline, kept for A/B benches)",
     )
     _add_engine_args(parser)
     parser.add_argument(
@@ -278,10 +270,6 @@ def cmd_worker(argv: Sequence[str]) -> int:
              "by the service's {'workers': ...} line",
     )
     parser.add_argument(
-        "--max-parts", type=int, default=None,
-        help="exit after this many parts (testing aid)",
-    )
-    parser.add_argument(
         "--connect-timeout", type=float, default=30.0,
         help="seconds to keep retrying the initial connection",
     )
@@ -304,9 +292,7 @@ def cmd_worker(argv: Sequence[str]) -> int:
             )
             return 0
         handled = worker_loop(
-            args.connect,
-            max_parts=args.max_parts,
-            connect_timeout_s=args.connect_timeout,
+            args.connect, connect_timeout_s=args.connect_timeout
         )
     except (OSError, ValueError) as exc:
         print(f"repro worker: {exc}", file=sys.stderr)

@@ -52,12 +52,6 @@ audit --fail-on``: 0 clean or below the gate, else 1/4/5/6 for a worst
 violation of info/warn/error/critical (wrong answers and quorum
 failures are critical; throughput/latency/error-rate breaches are
 errors; shed-rate breaches warn).
-
-The chain-mode study rides the same run table: ``repro loadgen
---chain-study`` replays the small suite sequentially under
-``warm="store"`` vs ``warm="chain"`` (paper Sec V-D) and lands one row
-per variant × repetition, making the iteration-vs-latency tradeoff a
-table instead of a docstring promise.
 """
 
 from __future__ import annotations
@@ -1071,71 +1065,6 @@ def run_scenario(
     return row
 
 
-# ------------------------------------------------------------- chain study
-def run_chain_study(
-    out_dir: str,
-    reps: int = 2,
-    n_programs: int = 6,
-    run_table: Optional[RunTable] = None,
-) -> List[Dict]:
-    """The ROADMAP chain-mode study, through the harness's run table.
-
-    Replays the small suite sequentially (one request per batch, serial
-    backend — the paper's compilation regime) against a cold store under
-    ``warm="store"`` (snapshot-seeded, store-coherent; the service
-    default) vs ``warm="chain"`` (MST-parent chaining, paper Sec V-D).
-    Each variant × repetition lands one ``chain-study/*`` row in the
-    same ``run_table.csv``: ``iterations`` carries the optimizer work,
-    the latency columns the per-request wall — the tradeoff is now a
-    table, not an anecdote.
-    """
-    import shutil
-    import tempfile
-
-    from repro.service.service import CompileService
-    from repro.service.store import PulseStore
-    from repro.utils.config import PipelineConfig
-    from repro.workloads.suite import small_suite
-
-    if run_table is None:
-        run_table = RunTable(os.path.join(out_dir, "run_table.csv"))
-    os.makedirs(out_dir, exist_ok=True)
-    programs = small_suite(n_programs)
-    rows: List[Dict] = []
-    for rep in range(reps):
-        for run, warm in enumerate(("store", "chain")):
-            scenario = Scenario(
-                name=f"chain-study/{warm}", mix=[(p.name, 1.0) for p in programs],
-                arrival="closed", clients=1, duration_s=3600.0,
-                store_state="cold", shards=1, workers=1,
-            )
-            root = tempfile.mkdtemp(prefix=f"chain-{warm}-", dir=out_dir)
-            service = CompileService(
-                PulseStore(os.path.join(root, "store")),
-                PipelineConfig(policy_name="map2b4l"),
-                backend="serial", n_workers=1, warm=warm,
-            )
-            traffic = TrafficResult()
-            start = time.monotonic()
-            for program in programs:
-                t0 = time.monotonic()
-                report, batch = service.handle_request(program)
-                traffic.requests += 1
-                traffic.ok += 1
-                traffic.latencies_ms.append((time.monotonic() - t0) * 1e3)
-                traffic.iterations += batch.total_iterations
-            traffic.duration_s = time.monotonic() - start
-            stats = service.store.stats.to_dict()
-            row = metrics_row(scenario, run, rep, traffic)
-            row["solves"] = int(stats.get("puts", 0))
-            row["store_hits"] = int(stats.get("hits", 0))
-            row["store_misses"] = int(stats.get("misses", 0))
-            run_table.append(row)
-            rows.append(row)
-            shutil.rmtree(root, ignore_errors=True)
-    return rows
-
-
 # --------------------------------------------------------------- SLO gates
 @dataclass(frozen=True)
 class SLOViolation:
@@ -1227,15 +1156,9 @@ def cmd_loadgen(argv: Sequence[str]) -> int:
                     "perf JSON, gate on SLO floors.",
     )
     parser.add_argument(
-        "--scenario", default=None,
+        "--scenario", required=True,
         help=f"named scenario ({', '.join(sorted(SCENARIOS))}) or a "
              f".json spec file (fields = Scenario dataclass)",
-    )
-    parser.add_argument(
-        "--chain-study", action="store_true",
-        help="run the warm='chain' vs warm='store' study on the small "
-             "suite instead of a traffic scenario (rows land in the same "
-             "run table)",
     )
     parser.add_argument("--reps", type=int, default=1,
                         help="repetitions of the run (one row each)")
@@ -1266,35 +1189,26 @@ def cmd_loadgen(argv: Sequence[str]) -> int:
                         help="print the rows (and violations) as JSON")
     args = parser.parse_args(argv)
 
-    if args.chain_study == (args.scenario is not None):
-        print("repro loadgen: need exactly one of --scenario / --chain-study",
-              file=sys.stderr)
-        return 2
     try:
         slo = load_slo(args.gate) if args.gate else None
-        if args.chain_study:
-            rows = run_chain_study(args.out, reps=args.reps)
-        else:
-            scenario = load_scenario(args.scenario)
-            overrides = {}
-            if args.duration is not None:
-                overrides["duration_s"] = args.duration
-            if args.clients is not None:
-                overrides["clients"] = args.clients
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if overrides:
-                scenario = replace(scenario, **overrides)
-            connect = None
-            if args.connect:
-                host, port = args.connect.rsplit(":", 1)
-                connect = (host, int(port))
-            rows = [
-                run_scenario(
-                    scenario, args.out, run=0, rep=rep, connect=connect
-                )
-                for rep in range(args.reps)
-            ]
+        scenario = load_scenario(args.scenario)
+        overrides = {}
+        if args.duration is not None:
+            overrides["duration_s"] = args.duration
+        if args.clients is not None:
+            overrides["clients"] = args.clients
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if overrides:
+            scenario = replace(scenario, **overrides)
+        connect = None
+        if args.connect:
+            host, port = args.connect.rsplit(":", 1)
+            connect = (host, int(port))
+        rows = [
+            run_scenario(scenario, args.out, run=0, rep=rep, connect=connect)
+            for rep in range(args.reps)
+        ]
     except (ValueError, OSError, RuntimeError, ConnectionError) as exc:
         print(f"repro loadgen: {exc}", file=sys.stderr)
         return 2

@@ -691,10 +691,8 @@ class RemoteExecutor:
     The executor is the listening side: workers dial in, announce
     themselves, and then loop pulling parts from the
     :class:`~repro.service.scheduler.FabricScheduler` — capability-
-    weighted placement, ``parts_per_worker`` reservations per connection,
-    work stealing from stragglers (``policy="steal"``, the default) or
-    classic static LPT assignment (``policy="static"``, the pre-scheduler
-    baseline the bench compares against). A disconnect requeues the
+    weighted placement, ``parts_per_worker`` reservations per connection
+    and work stealing from stragglers. A disconnect requeues the
     in-flight part before the connection retires, and when the fabric is
     empty the dispatcher runs the remaining parts in-process so no batch
     ever strands. Long-lived: one instance serves every batch of a service
@@ -709,18 +707,11 @@ class RemoteExecutor:
         port: int = 0,
         wait_workers_s: float = 10.0,
         parts_per_worker: int = 2,
-        policy: str = "steal",
-        perf: Optional[PerfRecorder] = None,
     ) -> None:
         self.host = host
         self.wait_workers_s = float(wait_workers_s)
-        self.perf = recorder_or_null(perf)
         self.stopped = threading.Event()
-        self.scheduler = FabricScheduler(
-            parts_per_worker=parts_per_worker,
-            policy=policy,
-            perf=self.perf,
-        )
+        self.scheduler = FabricScheduler(parts_per_worker=parts_per_worker)
         self.started_at = time.monotonic()
         self.n_local_fallback = 0
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -763,8 +754,8 @@ class RemoteExecutor:
         """Fabric occupancy snapshot (the ``stats`` verb's payload).
 
         Workers connected, parts in flight / queued, dispatch + steal +
-        shed counters, the scheduler policy, and one row per worker
-        connection the fabric has ever seen — parts handled, accumulated
+        shed counters, and one row per worker connection the fabric has
+        ever seen — parts handled, accumulated
         solve seconds (the worker's reported ``wall_s``), wire seconds
         (round trip minus compute), current queue depth / in-flight
         occupancy, the EWMA throughput estimate, and how many parts it
@@ -811,6 +802,7 @@ class RemoteExecutor:
         solver worker; ``{"op": "stats"}`` is the read-only occupancy
         verb — it gets one JSON :meth:`stats` snapshot back and the
         connection closes (``repro worker --connect host:port --stats``).
+        Any other first line, JSON object or not, closes the connection.
 
         Which part this handler pulls next is the scheduler's decision
         (own reservation queue → pending pool → steal); the handler owns
@@ -822,7 +814,8 @@ class RemoteExecutor:
         try:
             stream = conn.makefile("rwb")
             hello = stream.readline()
-            first_op = json.loads(hello).get("op") if hello else None
+            first = json.loads(hello) if hello else None
+            first_op = first.get("op") if isinstance(first, dict) else None
             if first_op == "stats":
                 stream.write(
                     (json.dumps({"ok": True, **self.stats()}) + "\n").encode()
@@ -870,10 +863,13 @@ class RemoteExecutor:
                     if not reply:
                         raise ConnectionError("worker closed mid-part")
                     message = json.loads(reply)
+                    if not isinstance(message, dict):
+                        raise ValueError("worker reply is not a JSON object")
                 except (OSError, ValueError):
-                    # Disconnect mid-part: requeue first, then retire this
-                    # worker. A part whose job already finished (failed
-                    # batch, purged queue) is dropped by release().
+                    # Disconnect or garbled reply mid-part: requeue first,
+                    # then retire this worker. A part whose job already
+                    # finished (failed batch, purged queue) is dropped by
+                    # release().
                     self.scheduler.release(label, item)
                     item = None
                     return
@@ -921,7 +917,6 @@ class RemoteExecutor:
         for item in self.scheduler.take_job(job):
             _, worker, tasks = _unpack(item.payload)
             self.n_local_fallback += 1
-            self.perf.count("schedule.local_fallback")
             try:
                 outcome = run_part(engine, worker, tasks, job.started_at)
             except BaseException as error:
@@ -955,8 +950,7 @@ class RemoteExecutor:
                 zip(parts, weights)
             )
         ]
-        with self.perf.stage("schedule.assign"):
-            self.scheduler.submit(items)
+        self.scheduler.submit(items)
         if not have_worker:
             self._drain_locally(engine, job)
         while not job.done():
@@ -1001,7 +995,6 @@ def fabric_stats(spec: str, timeout_s: float = 5.0) -> Dict:
 # ------------------------------------------------------------------ worker
 def worker_loop(
     spec: str,
-    max_parts: Optional[int] = None,
     connect_timeout_s: float = 30.0,
     retry: Optional[RetryPolicy] = None,
 ) -> int:
@@ -1012,8 +1005,8 @@ def worker_loop(
     tasks) — warm seeds included — so :func:`run_part` here produces the
     same bytes the serial executor would. A solve failure is reported as
     an ``error`` message (the dispatcher fails the batch; a *crash* of
-    this process instead triggers reassignment). Returns the number of
-    parts handled.
+    this process instead triggers reassignment). A line that is not a
+    JSON object is skipped. Returns the number of parts handled.
 
     The fabric may come up *after* its workers (scripted deployments
     start both at once), so the dial-in keeps retrying under the same
@@ -1048,7 +1041,7 @@ def worker_loop(
                 message = json.loads(line)
             except ValueError:
                 continue
-            op = message.get("op")
+            op = message.get("op") if isinstance(message, dict) else None
             if op == "close":
                 break
             if op != "part":
@@ -1070,6 +1063,4 @@ def worker_loop(
             stream.write((json.dumps(reply) + "\n").encode())
             stream.flush()
             handled += 1
-            if max_parts is not None and handled >= max_parts:
-                break
     return handled

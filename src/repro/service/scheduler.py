@@ -33,20 +33,10 @@ dispatch decisions into a :class:`FabricScheduler` the executor (and its
   queue honoured) — dispatch can never observe zero workers while a
   recoverable part is invisible, so a batch never strands.
 
-Two policies, selectable per executor (``--fabric-policy``):
-
-* ``steal`` (default) — everything above.
-* ``static`` — classic LPT: every part is assigned at submission to the
-  least-loaded worker by modelled weight, queues are unbounded, nothing
-  is ever stolen or rebalanced. This is the pre-refactor schedule made
-  explicit; the bench's straggler scenario measures the steal policy
-  against it.
-
-Counters surface under ``schedule.*`` in the executor's perf recorder
-(``schedule.steals``, ``schedule.reassigned``, ``schedule.shed``,
-``schedule.occupancy``) and in the fabric ``stats`` verb payload (global
-``n_steals``/``n_shed`` plus per-worker ``queued``/``in_flight``/
-``rate``/``steals_won``/``steals_lost`` rows).
+The counters live only here and surface in the fabric ``stats`` verb
+payload: global ``n_dispatched``/``n_steals``/``n_reassigned``/``n_shed``
+plus per-worker ``queued``/``in_flight``/``rate``/``steals_won``/
+``steals_lost`` rows.
 """
 
 from __future__ import annotations
@@ -57,9 +47,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from repro.perf.instrument import PerfRecorder, recorder_or_null
-
-SCHEDULER_POLICIES = ("steal", "static")
+#: Weight of the newest part outcome in a worker's throughput EWMA.
+EWMA_ALPHA = 0.4
 
 #: Sentinel :meth:`FabricScheduler.next_part` returns once the scheduler
 #: is closing — the worker handler forwards a close to its peer and exits.
@@ -116,25 +105,10 @@ class FabricScheduler:
     :meth:`stats` — all serialized on one condition.
     """
 
-    def __init__(
-        self,
-        parts_per_worker: int = 2,
-        policy: str = "steal",
-        ewma_alpha: float = 0.4,
-        perf: Optional[PerfRecorder] = None,
-    ) -> None:
-        if policy not in SCHEDULER_POLICIES:
-            raise ValueError(
-                f"policy must be one of {SCHEDULER_POLICIES}, got {policy!r}"
-            )
+    def __init__(self, parts_per_worker: int = 2) -> None:
         if parts_per_worker < 1:
             raise ValueError("parts_per_worker must be >= 1")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         self.parts_per_worker = int(parts_per_worker)
-        self.policy = policy
-        self.ewma_alpha = float(ewma_alpha)
-        self.perf = recorder_or_null(perf)
         self._cond = threading.Condition()
         self._slots: Dict[str, WorkerSlot] = {}
         self._pending: Deque[ScheduledPart] = deque()
@@ -201,27 +175,20 @@ class FabricScheduler:
             self._cond.notify_all()
 
     def _place(self, part: ScheduledPart) -> None:
-        slots = [s for s in self._slots.values() if s.connected]
-        if not slots:
+        open_slots = [
+            s
+            for s in self._slots.values()
+            if s.connected and s.capacity_used() < self.parts_per_worker
+        ]
+        if not open_slots:
             self._pending.append(part)
             return
-        if self.policy == "static":
-            # Classic LPT onto the current fleet: least loaded by modelled
-            # weight, unbounded queues, never rebalanced.
-            slot = min(slots, key=lambda s: s.backlog_weight())
-        else:
-            open_slots = [
-                s for s in slots if s.capacity_used() < self.parts_per_worker
-            ]
-            if not open_slots:
-                self._pending.append(part)
-                return
-            median = self._median_rate()
-            slot = min(
-                open_slots,
-                key=lambda s: (s.backlog_weight() + part.weight)
-                / self._rate_of(s, median),
-            )
+        median = self._median_rate()
+        slot = min(
+            open_slots,
+            key=lambda s: (s.backlog_weight() + part.weight)
+            / self._rate_of(s, median),
+        )
         slot.queue.append(part)
         slot.queued_weight += part.weight
 
@@ -242,8 +209,8 @@ class FabricScheduler:
 
     # -------------------------------------------------------------- dispatch
     def next_part(self, label: str, timeout_s: float = 0.25):
-        """The worker's pull loop: own queue, then pending pool, then (steal
-        policy) the tail of the most-backlogged straggler's queue. Returns
+        """The worker's pull loop: own queue, then pending pool, then the
+        tail of the most-backlogged straggler's queue. Returns
         a :class:`ScheduledPart`, ``None`` on timeout (caller re-checks its
         stop flag), or :data:`CLOSE_FABRIC` once the scheduler is closing.
         """
@@ -260,10 +227,6 @@ class FabricScheduler:
                     slot.in_flight += 1
                     slot.in_flight_weight += part.weight
                     self.n_dispatched += 1
-                    self.perf.count("schedule.dispatched")
-                    self.perf.record(
-                        "schedule.occupancy", self._occupancy_locked()
-                    )
                     return part
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -278,8 +241,6 @@ class FabricScheduler:
             return part
         if self._pending:
             return self._pending.popleft()
-        if self.policy != "steal":
-            return None
         victim = self._straggler(exclude=label)
         if victim is None:
             return None
@@ -288,7 +249,6 @@ class FabricScheduler:
         victim.steals_lost += 1
         slot.steals_won += 1
         self.n_steals += 1
-        self.perf.count("schedule.steals")
         return part
 
     def _straggler(self, exclude: str) -> Optional[WorkerSlot]:
@@ -304,12 +264,6 @@ class FabricScheduler:
             candidates,
             key=lambda s: s.backlog_weight() / self._rate_of(s, median),
         )
-
-    def _occupancy_locked(self) -> float:
-        connected = [s for s in self._slots.values() if s.connected]
-        if not connected:
-            return 0.0
-        return sum(s.in_flight for s in connected) / len(connected)
 
     # -------------------------------------------------------------- outcomes
     def complete(
@@ -336,8 +290,7 @@ class FabricScheduler:
                     slot.rate = sample
                 else:
                     slot.rate = (
-                        self.ewma_alpha * sample
-                        + (1.0 - self.ewma_alpha) * slot.rate
+                        EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * slot.rate
                     )
             self._cond.notify_all()
 
@@ -352,7 +305,6 @@ class FabricScheduler:
             if not self._job_done(part):
                 self._pending.appendleft(part)
                 self.n_reassigned += 1
-                self.perf.count("schedule.reassigned")
             self._cond.notify_all()
 
     def note_shed(self, n: int = 1) -> None:
@@ -361,7 +313,6 @@ class FabricScheduler:
         ``elevated_load_shedding`` check) can see admission pressure."""
         with self._cond:
             self.n_shed += int(n)
-        self.perf.count("schedule.shed", n)
 
     # ------------------------------------------------------------- job admin
     def take_job(self, job: Optional[object]) -> List[ScheduledPart]:
@@ -417,7 +368,6 @@ class FabricScheduler:
             }
             connected = [s for s in self._slots.values() if s.connected]
             return {
-                "policy": self.policy,
                 "parts_per_worker": self.parts_per_worker,
                 "workers_connected": len(connected),
                 "parts_in_flight": sum(s.in_flight for s in connected),

@@ -128,3 +128,18 @@ def test_binary_search_reports_failure_gracefully(model2):
     )
     assert not search.best.converged
     assert search.probes
+
+
+def test_binary_search_gives_up_after_max_doublings(model2):
+    """The bracket doubles at most ``max_doublings`` times, then the least
+    bad probe is returned; zero or a negative count gives up after the
+    first failed probe instead of doubling forever."""
+    starved = RunConfig(max_iterations=2, time_budget_s=5.0,
+                        binary_search_max_probes=2)
+    target = Circuit(2).add("cx", 0, 1).unitary()
+    for max_doublings, steps in ((2, [2, 4, 8]), (0, [2]), (-3, [2])):
+        search = binary_search_latency(
+            target, model2, starved, hi_steps=2, max_doublings=max_doublings
+        )
+        assert [p.n_steps for p in search.probes] == steps
+        assert search.best is min(search.probes, key=lambda p: p.infidelity)

@@ -605,6 +605,131 @@ def test_fabric_stats_verb_reports_occupancy(tmp_path, config):
         fabric_stats(spec, timeout_s=1.0)
 
 
+def test_fabric_stats_reply_keys_are_pinned():
+    """The dashboard, the fleet auditor, loadgen's run table and accbench
+    read the fabric ``stats`` reply by key: a dropped or renamed key must
+    fail here, not in one of them."""
+    from repro.service import fabric_stats
+
+    executor = RemoteExecutor(wait_workers_s=10.0)
+    try:
+        _start_worker(executor)
+        deadline = time.monotonic() + 10
+        while executor.live_workers() < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stats = executor.stats()
+        wire = fabric_stats(f"remote://127.0.0.1:{executor.port}")
+    finally:
+        executor.close()
+    top = {
+        "parts_per_worker", "workers_connected", "parts_in_flight",
+        "parts_queued", "n_dispatched", "n_steals", "n_reassigned",
+        "n_shed", "n_local_fallback", "uptime_s", "workers",
+    }
+    row = {
+        "connected", "parts", "solve_s", "wire_s", "queued", "in_flight",
+        "rate", "steals_won", "steals_lost",
+    }
+    for reply in (stats, wire):
+        assert set(reply) == top
+        assert list(reply["workers"]) == ["worker1"]
+        assert set(reply["workers"]["worker1"]) == row
+
+
+@pytest.mark.parametrize(
+    "first_line",
+    [b"[]", b'"x"', b"42", b"null", b"not json", b'{"op": "bogus"}'],
+)
+def test_fabric_closes_a_connection_whose_first_line_is_no_role(first_line):
+    """A first line that is neither a hello nor a stats object closes the
+    connection, and the fabric keeps answering. A JSON line that is not
+    an object used to kill the handler thread and leave the peer
+    waiting on an open connection."""
+    from repro.service import fabric_stats
+
+    executor = RemoteExecutor(wait_workers_s=0.1)
+    try:
+        with socket.create_connection(
+            ("127.0.0.1", executor.port), timeout=5.0
+        ) as sock:
+            sock.sendall(first_line + b"\n")
+            assert sock.recv(1) == b""
+        stats = fabric_stats(f"remote://127.0.0.1:{executor.port}")
+        assert stats["workers_connected"] == 0
+    finally:
+        executor.close()
+
+
+def test_worker_skips_lines_that_are_not_json_objects():
+    """``repro worker`` skips a fabric line that is not a JSON object, like
+    one that does not parse, instead of dying on it."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    port = listener.getsockname()[1]
+
+    def fake_fabric():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            stream.readline()  # the worker's hello
+            stream.write(b'[]\n"x"\n42\nnull\nnot json\n{"op": "close"}\n')
+            stream.flush()
+            stream.readline()  # until the worker hangs up
+
+    thread = threading.Thread(target=fake_fabric, daemon=True)
+    thread.start()
+    try:
+        assert worker_loop(f"remote://127.0.0.1:{port}") == 0
+    finally:
+        listener.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_fabric_requeues_a_part_whose_reply_is_not_a_json_object(
+    tmp_path, config
+):
+    """A worker that answers a part with a JSON line that is not an object
+    is retired like a disconnect: the part is requeued first, and the
+    batch completes with the serial run's results."""
+    reference = CompileService(
+        PulseStore(str(tmp_path / "ref")), config, backend="serial",
+        n_workers=2,
+    ).submit_batch([qft(4)])
+    executor = RemoteExecutor(wait_workers_s=10.0)
+
+    def garbling_worker():
+        with socket.create_connection(("127.0.0.1", executor.port)) as sock:
+            with sock.makefile("rwb") as stream:
+                stream.write(b'{"op": "hello"}\n')
+                stream.flush()
+                stream.readline()  # one part...
+                stream.write(b"[]\n")  # ...answered with a non-object
+                stream.flush()
+                stream.readline()  # until the fabric hangs up
+
+    threading.Thread(target=garbling_worker, daemon=True).start()
+    deadline = time.monotonic() + 10
+    while executor.live_workers() < 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    service = CompileService(
+        PulseStore(str(tmp_path / "fabric")), config, backend=executor,
+        n_workers=2,
+    )
+    try:
+        batch = service.submit_batch([qft(4)])
+    finally:
+        executor.close()
+    assert executor.n_reassigned >= 1
+    assert executor.n_local_fallback >= 1
+    assert batch.n_compiled == reference.n_compiled
+    assert batch.total_iterations == reference.total_iterations
+    assert (
+        batch.requests[0].overall_latency
+        == reference.requests[0].overall_latency
+    )
+
+
 # ----------------------------------------------------------- routed shards
 def test_routed_sharded_store_batches_and_routes_disjointly(tmp_path, config):
     """Shard -> host is a routing decision: two store servers behind one

@@ -80,38 +80,7 @@ def _start_worker(executor: RemoteExecutor) -> threading.Thread:
 # ------------------------------------------------------------ unit: basics
 def test_scheduler_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        FabricScheduler(policy="round_robin")
-    with pytest.raises(ValueError):
         FabricScheduler(parts_per_worker=0)
-    with pytest.raises(ValueError):
-        FabricScheduler(ewma_alpha=0.0)
-    with pytest.raises(ValueError):
-        FabricScheduler(ewma_alpha=1.5)
-    FabricScheduler(ewma_alpha=1.0)  # inclusive upper bound
-
-
-def test_static_policy_is_lpt_and_never_steals():
-    sched = FabricScheduler(policy="static")
-    a = sched.register()
-    b = sched.register()
-    job = _StubJob()
-    weights = [5.0, 4.0, 3.0, 2.0, 1.0]  # callers submit heaviest-first
-    sched.submit(
-        [
-            ScheduledPart(job=job, index=i, payload="", weight=w)
-            for i, w in enumerate(weights)
-        ]
-    )
-    # classic LPT: 5 -> A, 4 -> B, 3 -> B(4<5)? no: 4<5 so B; then loads
-    # A=5 B=7 -> 2 on A, loads 7/7 -> 1 on A.
-    assert sched._slots[a].queued_weight == pytest.approx(8.0)
-    assert sched._slots[b].queued_weight == pytest.approx(7.0)
-    # drain B's own queue; with A's queue still full, B may NOT steal
-    assert sched.next_part(b, timeout_s=0.01) is not None
-    assert sched.next_part(b, timeout_s=0.01) is not None
-    assert sched.next_part(b, timeout_s=0.05) is None
-    assert sched.n_steals == 0
-    assert len(sched._slots[a].queue) == 3
 
 
 def test_measured_fast_worker_attracts_the_work():
@@ -236,11 +205,10 @@ def test_close_returns_sentinel_and_error_keeps_rate_clean():
 
 
 def test_stats_shape_and_shed_counter():
-    sched = FabricScheduler(parts_per_worker=3, policy="steal")
+    sched = FabricScheduler(parts_per_worker=3)
     sched.register()
     sched.note_shed(3)
     stats = sched.stats()
-    assert stats["policy"] == "steal"
     assert stats["parts_per_worker"] == 3
     assert stats["n_shed"] == 3
     for key in (
