@@ -24,8 +24,9 @@ committed as ``BENCH_pr<N>.json``.
   against the all-local baseline. Quantifies the wire tax and asserts
   the warm remote run is a 100% remote-store hit with pulses
   bit-identical to the local run. Also under ``--remote``: batched
-  ``get_many`` vs per-key reads, replicated failover reads, and the
-  anti-entropy idle-round cost / heal throughput.
+  ``get_many`` vs per-key reads, a first vs a repeated ``snapshot`` (the
+  repeat must encode and decode no entry), replicated failover reads, and
+  the anti-entropy idle-round cost / heal throughput.
 
 * ``--loadgen``: the clients x shards x workers scaling sweep through the
   load harness (``repro.service.loadgen``): each cell drives an in-process
@@ -387,6 +388,61 @@ def test_remote_batched_reads(benchmark, tmp_path, remote_mode):
         f"per-key {per_key_wall * 1e3:.1f} ms over {n_get} RPCs vs "
         f"get_many {batched_wall * 1e3:.1f} ms over {n_frames} RPC "
         f"({per_key_wall / max(batched_wall, 1e-9):.1f}x)"
+    )
+
+
+def test_remote_snapshot_memo(benchmark, tmp_path, remote_mode, monkeypatch):
+    """--remote: a first and a repeated ``snapshot`` of an unchanged store.
+
+    Every fresh batch on a remote store takes a full snapshot for its warm
+    seeds. The server encodes each entry once and the client decodes each
+    payload once, so a repeated snapshot of an unchanged store re-codes
+    nothing and pays only the wire. Codec calls are asserted; the wall
+    times are only printed."""
+    from repro.service import RemoteStore, StoreServer, remote, storeserver
+
+    calls = {"encode": 0, "decode": 0}
+    real_encode, real_decode = storeserver.encode_entry, remote.decode_entry
+
+    def encode(entry):
+        calls["encode"] += 1
+        return real_encode(entry)
+
+    def decode(payload):
+        calls["decode"] += 1
+        return real_decode(payload)
+
+    monkeypatch.setattr(storeserver, "encode_entry", encode)
+    monkeypatch.setattr(remote, "decode_entry", decode)
+
+    served = PulseStore(str(tmp_path / "served"))
+    CompileService(
+        served, PipelineConfig(policy_name="map2b4l"), backend="thread",
+        n_workers=4,
+    ).submit_batch(_suite_programs())
+    server = StoreServer(served).start()  # a new server: nothing encoded yet
+    client = RemoteStore(f"remote://{server.address}")
+    try:
+        t0 = time.perf_counter()
+        first = client.snapshot()
+        first_wall = time.perf_counter() - t0
+        first_calls = dict(calls)
+        t0 = time.perf_counter()
+        repeated = run_once(benchmark, client.snapshot)
+        repeated_wall = time.perf_counter() - t0
+        repeated_calls = {k: calls[k] - first_calls[k] for k in calls}
+    finally:
+        client.close()
+        server.stop()
+    n_entries = len(served)
+    assert len(first) == len(repeated) == n_entries > 0
+    assert first_calls == {"encode": n_entries, "decode": n_entries}
+    assert repeated_calls == {"encode": 0, "decode": 0}
+    print(
+        f"\nremote snapshot ({n_entries} entries, loopback): first "
+        f"{first_wall * 1e3:.1f} ms, {first_calls['decode']} decoded; "
+        f"repeated {repeated_wall * 1e3:.1f} ms, "
+        f"{repeated_calls['decode']} decoded"
     )
 
 

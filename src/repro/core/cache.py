@@ -165,7 +165,8 @@ class PulseLibrary:
 
     def save(self, path: str) -> None:
         with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle)
+            # json.dumps runs the C encoder; json.dump the pure-Python one.
+            handle.write(json.dumps(self.to_dict()))
 
     @classmethod
     def from_dict(cls, data: Dict) -> "PulseLibrary":

@@ -65,6 +65,7 @@ failover reads and fan-out writes over several ``RemoteStore`` peers.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import pickle
 import random
@@ -318,6 +319,14 @@ class RemoteStore(StoreBackend):
     primitive's caller recovers elsewhere, so a flapping host shows up
     before anything degrades).
 
+    Every ``snapshot`` reply carries the whole store, but the client
+    decodes only payloads it has not seen: it keeps the entries of the
+    last reply, keyed by the sha256 of each payload (no wire text is
+    kept), and rebuilds that memo from every reply. A fresh batch over a
+    store that grew by a few entries decodes those few; the rest come back
+    as the same entry objects, group matrix and canonical key already
+    computed. A failed snapshot RPC leaves the memo as it was.
+
     ``add_eviction_guard`` is a local no-op: eviction policy (and any
     bound) lives with the server's store, which cannot see this client's
     in-flight claims. Run remote stores unbounded, or bound them knowing
@@ -359,6 +368,8 @@ class RemoteStore(StoreBackend):
         self._sock: Optional[socket.socket] = None
         self._stream = None
         self._fingerprint: Optional[str] = None  # replayed on every connect
+        # sha256(payload) -> decoded entry, for the last snapshot reply
+        self._decoded: Dict[bytes, LibraryEntry] = {}
 
     @property
     def address(self) -> str:
@@ -475,10 +486,24 @@ class RemoteStore(StoreBackend):
         return {"digest": response["digest"], "n": int(response["n"])}
 
     def fetch_snapshot(self) -> PulseLibrary:
+        """One ``snapshot`` round trip, decoding only the payloads the last
+        reply did not carry (equal bytes decode to an equal entry)."""
         response = self._rpc({"op": "snapshot"})
         library = PulseLibrary()
+        memo: Dict[bytes, LibraryEntry] = {}
         for payload in response["entries"]:
-            library.add(decode_entry(payload))
+            if not isinstance(payload, str):
+                raise TypeError(
+                    f"snapshot entry must be a base64 string, got "
+                    f"{type(payload).__name__}"
+                )
+            digest = hashlib.sha256(payload.encode("ascii")).digest()
+            entry = self._decoded.get(digest)
+            if entry is None:
+                entry = decode_entry(payload)
+            memo[digest] = entry
+            library.add(entry)
+        self._decoded = memo
         return library
 
     def fetch_key(self, key: bytes, peek: bool = False) -> Optional[LibraryEntry]:
@@ -654,6 +679,21 @@ def _unpack(payload: str):
     return pickle.loads(base64.b64decode(payload.encode("ascii")))
 
 
+def _unpack_outcome(payload) -> PartOutcome:
+    """A worker reply's :class:`PartOutcome`; ``ValueError`` for a payload
+    that is missing, does not decode, or decodes to something else."""
+    try:
+        outcome = _unpack(payload)
+    except Exception as exc:
+        raise ValueError(f"undecodable outcome payload: {exc!r}") from exc
+    if not isinstance(outcome, PartOutcome):
+        raise ValueError(
+            f"outcome payload holds a {type(outcome).__name__}, "
+            f"not a PartOutcome"
+        )
+    return outcome
+
+
 class _MapJob:
     """Bookkeeping for one ``map_parts`` call (outcomes land out of order)."""
 
@@ -806,7 +846,9 @@ class RemoteExecutor:
 
         Which part this handler pulls next is the scheduler's decision
         (own reservation queue → pending pool → steal); the handler owns
-        only the wire. On any wire failure the in-flight part goes *back
+        only the wire. On any wire failure (a disconnect, or a reply that
+        is not a JSON object or whose ``payload`` is missing or is not a
+        :class:`PartOutcome`) the in-flight part goes *back
         on the scheduler before* the connection retires
         (:meth:`FabricScheduler.release`), so dispatch can never observe
         zero workers while a recoverable part is invisible.
@@ -865,6 +907,8 @@ class RemoteExecutor:
                     message = json.loads(reply)
                     if not isinstance(message, dict):
                         raise ValueError("worker reply is not a JSON object")
+                    if message.get("op") != "error":
+                        outcome = _unpack_outcome(message.get("payload"))
                 except (OSError, ValueError):
                     # Disconnect or garbled reply mid-part: requeue first,
                     # then retire this worker. A part whose job already
@@ -881,7 +925,6 @@ class RemoteExecutor:
                     item = None
                     job.fail(RuntimeError(message.get("error", "worker error")))
                     continue
-                outcome: PartOutcome = _unpack(message["payload"])
                 # Dispatcher-side queue wait (cross-host clocks do not
                 # compare); wire = round trip minus the worker's compute.
                 roundtrip = time.perf_counter() - dispatched_at

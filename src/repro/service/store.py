@@ -162,7 +162,9 @@ def _atomic_write_json(path: str, payload: Dict) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            # One json.dumps: json.dump streams through the pure-Python
+            # encoder; dumps runs the C one, with the same output.
+            handle.write(json.dumps(payload))
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -19,6 +19,7 @@ Wire protocol (requests carry ``op``; responses carry ``ok``)::
     {"op": "put_many", "entries": ["<b64>", ...], "flush": true}
         -> {"ok": true, "n": N}
     {"op": "snapshot"} -> {"ok": true, "entries": ["<b64>", ...]}
+        # every entry; the server caches each one's <b64>, see below
     {"op": "keys"}     -> {"ok": true, "keys": ["<hex>", ...]}
     {"op": "keys_digest"} -> {"ok": true, "digest": "<sha256 hex>", "n": N}
     {"op": "flush"}    -> {"ok": true}
@@ -34,7 +35,13 @@ Wire protocol (requests carry ``op``; responses carry ``ok``)::
     {"op": "shutdown"} -> {"ok": true, "bye": true}  # stops the server
 
 Entry payloads are the ``entry_to_dict`` JSON, base64-framed so a line can
-never be split by embedded content, whatever the entry holds. Errors come
+never be split by embedded content, whatever the entry holds. A
+``snapshot`` reply carries the whole store on every call, but the server
+encodes each entry once: it keeps a memo from canonical key to (entry
+object, payload), rebuilt from every snapshot so it holds exactly that
+snapshot's entries, and re-encodes a key only when its store holds a
+different entry object there (after a re-put or a reload). The memo costs
+one encoded payload per live entry. Errors come
 back as ``{"ok": false, "error": msg, "kind": k, "op": <op>}`` with
 ``kind`` one of ``"fingerprint"`` (engine-identity mismatch — the client
 re-raises it as a loud :class:`~repro.service.store.StoreVersionError`),
@@ -448,6 +455,10 @@ class StoreServer:
         self._started_at: Optional[float] = None  # monotonic, set by start()
         self._stats_lock = threading.Lock()
         self._stats_seq = 0  # bumped per stats reply (restart detector)
+        # key -> (entry object, its encode_entry payload) for exactly the
+        # entries of the last snapshot reply; see _encode_snapshot.
+        self._snapshot_lock = threading.Lock()
+        self._encoded: Dict[bytes, Tuple[LibraryEntry, str]] = {}
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "StoreServer":
@@ -545,6 +556,26 @@ class StoreServer:
                 self._conns.discard(conn)
 
     # ------------------------------------------------------------- requests
+    def _encode_snapshot(self, store: StoreBackend) -> List[str]:
+        """The ``snapshot`` reply's payloads, encoding only what changed.
+
+        Each reply rebuilds the memo, so it holds exactly the entries of
+        the last snapshot. An entry is re-encoded only when the store holds
+        a different object under its key (a re-put, a reload): stored
+        entries are never mutated in place, so one object always encodes
+        to one payload.
+        """
+        with self._snapshot_lock:
+            memo: Dict[bytes, Tuple[LibraryEntry, str]] = {}
+            for entry in store.snapshot().entries():
+                key = entry.group.key()
+                cached = self._encoded.get(key)
+                if cached is None or cached[0] is not entry:
+                    cached = (entry, encode_entry(entry))
+                memo[key] = cached
+            self._encoded = memo
+        return [payload for _, payload in memo.values()]
+
     def _respond(self, line: bytes) -> Tuple[Dict, bool]:
         """(response payload, stop server?) for one request line."""
         try:
@@ -600,11 +631,7 @@ class StoreServer:
             store.put_many(entries, flush=bool(request.get("flush", True)))
             return {"ok": True, "n": len(entries)}
         if op == "snapshot":
-            snapshot = store.snapshot()
-            return {
-                "ok": True,
-                "entries": [encode_entry(e) for e in snapshot.entries()],
-            }
+            return {"ok": True, "entries": self._encode_snapshot(store)}
         if op == "keys":
             return {"ok": True, "keys": [k.hex() for k in store.keys()]}
         if op == "keys_digest":

@@ -8,13 +8,20 @@ disconnect reassigns its part; a fingerprint mismatch is refused loudly
 across the wire.
 """
 
+import json
 import socket
+import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.circuits.gates import Gate
+from repro.core.cache import LibraryEntry, entry_to_dict
 from repro.core.engines import GrapeEngine, ModelEngine
+from repro.grouping.group import GateGroup
+from repro.qoc.pulse import Pulse
 from repro.service import (
     CompileService,
     PulseStore,
@@ -28,7 +35,7 @@ from repro.service import (
     parse_route,
     worker_loop,
 )
-from repro.service.remote import parse_route_params, retry_from_params
+from repro.service.remote import _pack, parse_route_params, retry_from_params
 from repro.service.sharding import shard_of
 from repro.service.store import key_digest
 from repro.utils.config import PipelineConfig
@@ -805,3 +812,305 @@ def test_fingerprint_claimed_offline_is_enforced_on_reconnect(tmp_path):
             offline.get_key(b"anything")  # handshake replays the claim
     finally:
         revived.stop()
+
+
+# ----------------------------------------------------------- snapshot memo
+def _pulse_entry(angle, latency=40.0, scale=1.0):
+    """A 2-qubit entry whose key depends on ``angle`` only."""
+    group = GateGroup(gates=[Gate("cx", (0, 1)), Gate("rz", (1,), (angle,))])
+    pulse = Pulse(
+        scale * np.linspace(0.0, angle + 0.1, 35).reshape(7, 5),
+        dt=2.0,
+        control_labels=["X0", "Y0", "X1", "Y1", "XX01"],
+        n_qubits=2,
+    )
+    return LibraryEntry(group=group, pulse=pulse, latency=latency, iterations=9)
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Counts the server's ``encode_entry`` and the client's
+    ``decode_entry`` calls."""
+    from repro.service import remote, storeserver
+
+    counts = {"encode": 0, "decode": 0}
+    real_encode, real_decode = storeserver.encode_entry, remote.decode_entry
+
+    def encode(entry):
+        counts["encode"] += 1
+        return real_encode(entry)
+
+    def decode(payload):
+        counts["decode"] += 1
+        return real_decode(payload)
+
+    monkeypatch.setattr(storeserver, "encode_entry", encode)
+    monkeypatch.setattr(remote, "decode_entry", decode)
+    return counts
+
+
+def _memo_snapshot(client, server, counts):
+    """One snapshot and the codec calls it made; each memo then holds
+    exactly the snapshot's entries."""
+    before = dict(counts)
+    snapshot = client.snapshot()
+    assert len(server._encoded) == len(snapshot) == len(client._decoded)
+    assert set(server._encoded) == set(snapshot.keys())
+    assert {e.group.key() for e in client._decoded.values()} == set(
+        snapshot.keys()
+    )
+    return snapshot, {name: counts[name] - before[name] for name in counts}
+
+
+def _entry_text(entry):
+    return json.dumps(entry_to_dict(entry))
+
+
+def _entry_texts(library):
+    """{key: the entry's entry_to_dict JSON} over a library."""
+    return {key: _entry_text(library.lookup_key(key)) for key in library.keys()}
+
+
+def test_repeated_snapshot_decodes_and_encodes_nothing(tmp_path, codec_calls):
+    """A second snapshot of an unchanged store encodes and decodes no
+    entry, and serves what a fresh decode gives, key and matrix cached."""
+    server, local = _serve(tmp_path)
+    try:
+        for i in range(6):
+            local.put(_pulse_entry(0.1 * (i + 1)), flush=False)
+        local.flush()
+        client = RemoteStore(f"remote://{server.address}")
+        first, counts = _memo_snapshot(client, server, codec_calls)
+        assert counts == {"encode": 6, "decode": 6}
+        second, counts = _memo_snapshot(client, server, codec_calls)
+        assert counts == {"encode": 0, "decode": 0}
+        for key in second.keys():
+            entry = second.lookup_key(key)
+            assert entry is first.lookup_key(key)
+            assert entry.group._key == key
+            assert entry.group._matrix is not None
+        fresh = RemoteStore(f"remote://{server.address}").snapshot()
+        assert _entry_texts(second) == _entry_texts(fresh)
+        assert _entry_texts(second) == _entry_texts(local.snapshot())
+    finally:
+        server.stop()
+
+
+def test_snapshot_after_a_reput_serves_the_new_entry(tmp_path, codec_calls):
+    """A key re-put with another pulse and latency comes back new from the
+    next snapshot; a re-put of the same bytes is re-encoded on the server
+    but not decoded again on the client."""
+    server, local = _serve(tmp_path)
+    try:
+        old, other = _pulse_entry(0.4), _pulse_entry(0.7)
+        local.put(old)
+        local.put(other)
+        client = RemoteStore(f"remote://{server.address}")
+        _memo_snapshot(client, server, codec_calls)
+
+        client.put(old)  # the server now holds a new object, same bytes
+        snapshot, counts = _memo_snapshot(client, server, codec_calls)
+        assert counts == {"encode": 1, "decode": 0}
+
+        new = _pulse_entry(0.4, latency=28.0, scale=0.5)
+        key = old.group.key()
+        assert new.group.key() == key
+        client.put(new)
+        snapshot, counts = _memo_snapshot(client, server, codec_calls)
+        assert counts == {"encode": 1, "decode": 1}
+        got = snapshot.lookup_key(key)
+        assert got.latency == 28.0
+        assert got.pulse.amplitudes.tobytes() == new.pulse.amplitudes.tobytes()
+        assert _entry_texts(snapshot) == _entry_texts(local.snapshot())
+    finally:
+        server.stop()
+
+
+def test_evicted_key_leaves_the_snapshot_and_both_memos(tmp_path, codec_calls):
+    server, local = _serve(tmp_path, max_entries=3)
+    try:
+        entries = [_pulse_entry(0.1 * (i + 1)) for i in range(4)]
+        for entry in entries[:3]:
+            local.put(entry)
+        client = RemoteStore(f"remote://{server.address}")
+        snapshot, _ = _memo_snapshot(client, server, codec_calls)
+        assert len(snapshot) == 3
+        client.put(entries[3])  # evicts the least recently used, entries[0]
+        snapshot, counts = _memo_snapshot(client, server, codec_calls)
+        evicted = entries[0].group.key()
+        assert len(snapshot) == 3
+        assert evicted not in set(snapshot.keys())
+        assert evicted not in server._encoded
+        assert evicted not in {e.group.key() for e in client._decoded.values()}
+        assert counts == {"encode": 1, "decode": 1}
+    finally:
+        server.stop()
+
+
+def test_concurrent_snapshots_during_reputs_serve_whole_entries(tmp_path):
+    """Four clients snapshot while the server's store re-puts every key
+    between two versions: each reply carries, per key, one whole version,
+    and once the writes stop every client reads the store's contents."""
+    server, local = _serve(tmp_path)
+    versions = [
+        (_pulse_entry(angle), _pulse_entry(angle, latency=20.0, scale=0.5))
+        for angle in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    ]
+    allowed = {}
+    for pair in versions:
+        local.put(pair[0], flush=False)
+        for version in pair:
+            allowed.setdefault(version.group.key(), set()).add(
+                _entry_text(version)
+            )
+    clients = [RemoteStore(f"remote://{server.address}") for _ in range(4)]
+    stop = threading.Event()
+    bad = []
+
+    def reader(client):
+        while not stop.is_set():
+            for key, text in _entry_texts(client.snapshot()).items():
+                if text not in allowed[key]:
+                    bad.append(key)
+
+    def writer():
+        for round_ in range(30):
+            for pair in versions:
+                local.put(pair[round_ % 2], flush=False)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [
+            threading.Thread(target=reader, args=(c,), daemon=True)
+            for c in clients
+        ]
+        for thread in readers:
+            thread.start()
+        write = threading.Thread(target=writer, daemon=True)
+        write.start()
+        write.join(timeout=60)
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not write.is_alive()
+        assert not any(thread.is_alive() for thread in readers)
+        assert bad == []
+        for client in clients:
+            assert _entry_texts(client.snapshot()) == _entry_texts(
+                local.snapshot()
+            )
+    finally:
+        server.stop()
+
+
+def test_remote_store_bit_identical_over_consecutive_batches(
+    tmp_path, config, monkeypatch
+):
+    """Three GRAPE batches in a row, serial on both sides: the last one
+    seeds from entries the snapshot memo served, and the remote store
+    still holds the local store's bytes."""
+    from repro.service import remote
+
+    programs = [qft(4), qft(5), qft(6)]
+
+    def service_on(store):
+        return CompileService(
+            store,
+            config,
+            engine=GrapeEngine(config.physics, config.run.fast()),
+            backend="serial",
+            n_workers=2,
+        )
+
+    local = service_on(PulseStore(str(tmp_path / "local")))
+    local_batches = [local.submit_batch([program]) for program in programs]
+
+    decoded = [0]
+    real_decode, real_fetch = remote.decode_entry, RemoteStore.fetch_snapshot
+    snapshots = []  # (entries decoded, entries returned) per snapshot
+
+    def counting_decode(payload):
+        decoded[0] += 1
+        return real_decode(payload)
+
+    def counted_fetch(self):
+        before = decoded[0]
+        library = real_fetch(self)
+        snapshots.append((decoded[0] - before, len(library)))
+        return library
+
+    monkeypatch.setattr(remote, "decode_entry", counting_decode)
+    monkeypatch.setattr(RemoteStore, "fetch_snapshot", counted_fetch)
+    server, served = _serve(tmp_path)
+    try:
+        service = service_on(RemoteStore(f"remote://{server.address}"))
+        for program, reference in zip(programs, local_batches):
+            batch = service.submit_batch([program])
+            assert batch.n_compiled == reference.n_compiled > 0
+            assert batch.total_iterations == reference.total_iterations
+    finally:
+        server.stop()
+    assert len(snapshots) == len(programs)
+    last_decoded, last_returned = snapshots[-1]
+    assert last_decoded < last_returned
+    assert _stored_pulses(served) == _stored_pulses(local.store)
+
+
+def test_fabric_requeues_a_part_whose_outcome_payload_is_no_outcome(
+    tmp_path, config
+):
+    """A worker reply with no ``payload``, or with one that decodes to
+    something other than a PartOutcome, is a wire failure: the part is
+    requeued first, then the worker retires, and the batch stores the
+    serial run's pulses. Both replies used to kill the handler thread."""
+    def service_on(store, backend):
+        return CompileService(
+            store,
+            config,
+            engine=GrapeEngine(config.physics, config.run.fast()),
+            backend=backend,
+            n_workers=2,
+        )
+
+    reference = service_on(PulseStore(str(tmp_path / "ref")), "serial")
+    reference.submit_batch([qft(4)])
+    executor = RemoteExecutor(wait_workers_s=10.0)
+    replies = [
+        {"op": "outcome", "job": 0},
+        {"op": "outcome", "job": 0, "payload": _pack({"not": "an outcome"})},
+    ]
+
+    def bad_worker(reply):
+        with socket.create_connection(("127.0.0.1", executor.port)) as sock:
+            with sock.makefile("rwb") as stream:
+                stream.write(b'{"op": "hello"}\n')
+                stream.flush()
+                stream.readline()  # one part...
+                stream.write((json.dumps(reply) + "\n").encode())
+                stream.flush()
+                stream.readline()  # until the fabric hangs up
+
+    workers = [
+        threading.Thread(target=bad_worker, args=(reply,), daemon=True)
+        for reply in replies
+    ]
+    for worker in workers:
+        worker.start()
+    deadline = time.monotonic() + 10
+    while executor.live_workers() < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    service = service_on(PulseStore(str(tmp_path / "fabric")), executor)
+    try:
+        batch = service.submit_batch([qft(4)])
+    finally:
+        executor.close()
+    for worker in workers:
+        worker.join(timeout=10)
+    assert executor.n_reassigned == 2
+    assert executor.n_local_fallback >= 1
+    assert batch.n_compiled > 0
+    assert _stored_pulses(service.store) == _stored_pulses(reference.store)

@@ -330,3 +330,40 @@ def test_revalidate_budget_and_still_failing_entries(tmp_path):
     assert summary["remaining"] == 1
     # entries stay non-converged, so a later pass retries them
     assert store.revalidate(engine, budget=1000)["retrained"] == 3
+
+
+def test_store_writes_are_json_dump_bytes(tmp_path):
+    """Entry files, manifests and saved libraries are written with one
+    ``json.dumps`` call; the bytes are exactly ``json.dump``'s."""
+    import io
+
+    from repro.core.cache import PulseLibrary
+    from repro.service.store import _atomic_write_json
+
+    def dumped(payload):
+        buffer = io.StringIO()
+        json.dump(payload, buffer)
+        return buffer.getvalue().encode()
+
+    payload = {
+        "nan": float("nan"),
+        "inf": [float("inf"), -float("inf")],
+        "text": "Grüße, 量子 ☃ \"quoted\"\n",
+        "nested": [[1, 2.5, [0.1 + 0.2, [None, True]]], {"k": [[], {}]}],
+    }
+    path = tmp_path / "payload.json"
+    _atomic_write_json(str(path), payload)
+    assert path.read_bytes() == dumped(payload)
+
+    store = PulseStore(str(tmp_path / "s"))
+    entry = _entry(0.3)  # its pulse's infidelity is NaN
+    store.put(entry)
+    entry_file = tmp_path / "s" / "entries" / f"{key_digest(entry.group.key())}.json"
+    assert entry_file.read_bytes() == dumped(entry_to_dict(entry))
+    manifest = (tmp_path / "s" / "manifest.json").read_bytes()
+    assert manifest == dumped(json.loads(manifest))
+
+    library = PulseLibrary()
+    library.add(entry)
+    library.save(str(tmp_path / "library.json"))
+    assert (tmp_path / "library.json").read_bytes() == dumped(library.to_dict())
