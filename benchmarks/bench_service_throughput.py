@@ -25,8 +25,9 @@ committed as ``BENCH_pr<N>.json``.
   the warm remote run is a 100% remote-store hit with pulses
   bit-identical to the local run. Also under ``--remote``: batched
   ``get_many`` vs per-key reads, a first vs a repeated ``snapshot`` (the
-  repeat must encode and decode no entry), replicated failover reads, and
-  the anti-entropy idle-round cost / heal throughput.
+  repeat must encode and decode no entry), a warm batch after a snapshot
+  (no flush, no entry coded), replicated failover reads, and the
+  anti-entropy idle-round cost / heal throughput.
 
 * ``--loadgen``: the clients x shards x workers scaling sweep through the
   load harness (``repro.service.loadgen``): each cell drives an in-process
@@ -391,15 +392,10 @@ def test_remote_batched_reads(benchmark, tmp_path, remote_mode):
     )
 
 
-def test_remote_snapshot_memo(benchmark, tmp_path, remote_mode, monkeypatch):
-    """--remote: a first and a repeated ``snapshot`` of an unchanged store.
-
-    Every fresh batch on a remote store takes a full snapshot for its warm
-    seeds. The server encodes each entry once and the client decodes each
-    payload once, so a repeated snapshot of an unchanged store re-codes
-    nothing and pays only the wire. Codec calls are asserted; the wall
-    times are only printed."""
-    from repro.service import RemoteStore, StoreServer, remote, storeserver
+def _codec_calls(monkeypatch):
+    """Counts the server's ``encode_entry`` and the client's
+    ``decode_entry`` calls."""
+    from repro.service import remote, storeserver
 
     calls = {"encode": 0, "decode": 0}
     real_encode, real_decode = storeserver.encode_entry, remote.decode_entry
@@ -414,7 +410,20 @@ def test_remote_snapshot_memo(benchmark, tmp_path, remote_mode, monkeypatch):
 
     monkeypatch.setattr(storeserver, "encode_entry", encode)
     monkeypatch.setattr(remote, "decode_entry", decode)
+    return calls
 
+
+def test_remote_snapshot_memo(benchmark, tmp_path, remote_mode, monkeypatch):
+    """--remote: a first and a repeated ``snapshot`` of an unchanged store.
+
+    Every fresh batch on a remote store takes a full snapshot for its warm
+    seeds. The server encodes each entry once and the client decodes each
+    payload once, so a repeated snapshot of an unchanged store re-codes
+    nothing and pays only the wire. Codec calls are asserted; the wall
+    times are only printed."""
+    from repro.service import RemoteStore, StoreServer
+
+    calls = _codec_calls(monkeypatch)
     served = PulseStore(str(tmp_path / "served"))
     CompileService(
         served, PipelineConfig(policy_name="map2b4l"), backend="thread",
@@ -443,6 +452,61 @@ def test_remote_snapshot_memo(benchmark, tmp_path, remote_mode, monkeypatch):
         f"{first_wall * 1e3:.1f} ms, {first_calls['decode']} decoded; "
         f"repeated {repeated_wall * 1e3:.1f} ms, "
         f"{repeated_calls['decode']} decoded"
+    )
+
+
+def test_remote_warm_batch_after_snapshot(
+    benchmark, tmp_path, remote_mode, monkeypatch
+):
+    """--remote: a warm batch over a remote store that just served a
+    snapshot, as a warm read follows a fresh one under churn.
+
+    The batch reads every group with one ``get_many`` per claim pass and
+    writes nothing, so it sends no ``flush``; every hit is served from the
+    snapshot memos, so no entry is encoded or decoded. Counts are
+    asserted; the wall time is only printed."""
+    from repro.perf.instrument import PerfRecorder
+    from repro.service import RemoteStore, StoreServer
+
+    calls = _codec_calls(monkeypatch)
+    programs = _suite_programs()
+    config = PipelineConfig(policy_name="map2b4l")
+    served = PulseStore(str(tmp_path / "served"))
+    CompileService(served, config, backend="thread", n_workers=4).submit_batch(
+        programs
+    )
+    server = StoreServer(served).start()
+    perf = PerfRecorder()
+    client = RemoteStore(f"remote://{server.address}", perf=perf)
+    try:
+        service = CompileService(client, config, backend="serial")
+        service.submit_batch(programs)  # fills the front-end memo
+        client.snapshot()
+        before, ops_before = dict(calls), dict(perf.counters)
+        t0 = time.perf_counter()
+        warm = run_once(benchmark, service.submit_batch, programs)
+        wall = time.perf_counter() - t0
+        coded = {name: calls[name] - before[name] for name in calls}
+    finally:
+        client.close()
+        server.stop()
+    names = {
+        op: f"store.remote.ops.{op}" for op in ("get_many", "flush", "snapshot")
+    }
+    ops = {
+        op: perf.counters.get(name, 0) - ops_before.get(name, 0)
+        for op, name in names.items()
+    }
+    assert warm.n_compiled == warm.n_trivial == 0
+    assert warm.coverage_rate == 1.0
+    assert 1 <= ops["get_many"] <= 2  # one per claim pass
+    assert ops["flush"] == ops["snapshot"] == 0
+    assert coded == {"encode": 0, "decode": 0}
+    print(
+        f"\nwarm remote batch after a snapshot ({len(programs)} programs, "
+        f"{warm.n_unique} groups, loopback): {wall * 1e3:.1f} ms, "
+        f"{ops['get_many']} get_many, {ops['flush']} flush, "
+        f"{coded['encode']} encoded, {coded['decode']} decoded"
     )
 
 

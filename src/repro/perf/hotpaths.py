@@ -145,9 +145,9 @@ def remote_report() -> PerfReport:
     :class:`~repro.service.remote.RemoteExecutor` with one in-process
     worker — and runs a two-program batch through it. The interesting
     stages: ``store.remote.rpc`` (client-observed per-key store round
-    trips), ``store.remote.batched_rpc`` (one ``get_many``/``put_many``
-    frame per batch read phase — the claims re-check and the latency
-    table read through it, so cold reads are O(shards), not O(keys); the
+    trips), ``store.remote.batched_rpc`` (one ``get_many`` frame per
+    claim pass and one ``put_many`` frame per pass that solved, so reads
+    and writes are O(shards), not O(keys); the
     ``store.remote.ops.<verb>`` counters show the split) and
     ``execute.worker<k>.wire`` (part round trip minus worker compute,
     i.e. serialization + transport). Loopback TCP, so the numbers are the

@@ -762,6 +762,15 @@ def cmd_batch(argv: Sequence[str]) -> int:
         # is exactly what w=majority/all asked to forbid.
         print(f"repro batch: quorum failure: {exc}", file=sys.stderr)
         return 3
+    try:
+        # A batch that read without writing left its recency bumps in the
+        # store's memory: persist them before this process exits, so a
+        # bounded store's LRU order reflects this run.
+        service.store.flush()
+    except QuorumError as exc:
+        # What the batch wrote was flushed to quorum before it returned;
+        # only read recency missed a replica. The answers stand.
+        print(f"repro batch: read recency not flushed: {exc}", file=sys.stderr)
 
     if args.as_json:
         print(json.dumps(batch_summary(batch), sort_keys=True))

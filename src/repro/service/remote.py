@@ -325,7 +325,10 @@ class RemoteStore(StoreBackend):
     kept), and rebuilds that memo from every reply. A fresh batch over a
     store that grew by a few entries decodes those few; the rest come back
     as the same entry objects, group matrix and canonical key already
-    computed. A failed snapshot RPC leaves the memo as it was.
+    computed. ``get``, ``peek`` and ``get_many`` replies read through the
+    same memo, so a warm read of keys the last snapshot held decodes
+    nothing. Only a snapshot rebuilds the memo; a failed snapshot RPC
+    leaves it as it was.
 
     ``add_eviction_guard`` is a local no-op: eviction policy (and any
     bound) lives with the server's store, which cannot see this client's
@@ -485,22 +488,30 @@ class RemoteStore(StoreBackend):
         response = self._rpc({"op": "keys_digest"})
         return {"digest": response["digest"], "n": int(response["n"])}
 
+    def _decode(self, payload) -> Tuple[bytes, LibraryEntry]:
+        """``(sha256 of payload, its entry)``: the snapshot memo's entry
+        when the last snapshot carried these bytes (equal bytes decode to
+        an equal entry), else a fresh decode. A payload that is not a
+        string is refused with ``TypeError``."""
+        if not isinstance(payload, str):
+            raise TypeError(
+                f"entry payload must be a base64 string, got "
+                f"{type(payload).__name__}"
+            )
+        digest = hashlib.sha256(payload.encode("ascii")).digest()
+        entry = self._decoded.get(digest)
+        if entry is None:
+            entry = decode_entry(payload)
+        return digest, entry
+
     def fetch_snapshot(self) -> PulseLibrary:
         """One ``snapshot`` round trip, decoding only the payloads the last
-        reply did not carry (equal bytes decode to an equal entry)."""
+        reply did not carry."""
         response = self._rpc({"op": "snapshot"})
         library = PulseLibrary()
         memo: Dict[bytes, LibraryEntry] = {}
         for payload in response["entries"]:
-            if not isinstance(payload, str):
-                raise TypeError(
-                    f"snapshot entry must be a base64 string, got "
-                    f"{type(payload).__name__}"
-                )
-            digest = hashlib.sha256(payload.encode("ascii")).digest()
-            entry = self._decoded.get(digest)
-            if entry is None:
-                entry = decode_entry(payload)
+            digest, entry = self._decode(payload)
             memo[digest] = entry
             library.add(entry)
         self._decoded = memo
@@ -511,7 +522,7 @@ class RemoteStore(StoreBackend):
         response = self._rpc({"op": op, "key": key.hex()})
         if response["entry"] is None:
             return None
-        return decode_entry(response["entry"])
+        return self._decode(response["entry"])[1]
 
     def fetch_many(self, keys: Sequence[bytes]) -> List[Optional[LibraryEntry]]:
         """One ``get_many`` round trip (chunked at the server's frame cap)."""
@@ -523,7 +534,7 @@ class RemoteStore(StoreBackend):
                 stage="batched_rpc",
             )
             entries.extend(
-                decode_entry(p) if p is not None else None
+                self._decode(p)[1] if p is not None else None
                 for p in response["entries"]
             )
         return entries

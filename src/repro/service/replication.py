@@ -35,7 +35,9 @@ the raising ``fetch_*``/``send_*`` wire primitives of
   (per entry), so every batch report shows the quorum outcome alongside
   the fan-out lag (replicas that missed an acked write still count their
   own ``degraded``, visible per replica and closable by anti-entropy or
-  :meth:`ReplicatedStore.repair`).
+  :meth:`ReplicatedStore.repair`). A service batch that solves nothing
+  makes no write and no flush, so it needs no quorum: a fully covered
+  batch is served by failover reads while one replica lives.
 
 * **``repair()`` re-syncs lagging replicas from their peers.** It runs
   one :func:`reconcile` round, the same diff-and-copy the store servers'

@@ -216,11 +216,16 @@ class CompileService:
     ) -> Tuple[_ClaimPass, _ClaimPass, Optional[BatchPlan]]:
         """Look up and solve the pool's groups, then the trivial ones.
 
-        Two passes of :meth:`_claim_and_solve`, then one manifest flush.
-        The trivial pass claims its keys only after the pool's solves are
-        persisted, so a concurrent batch needing an instant group never
-        waits on this batch's GRAPE solve. Returns both passes and the
-        plan cut over the pool's misses (None when nothing missed).
+        Two passes of :meth:`_claim_and_solve`, then one manifest flush
+        when either pass wrote. The trivial pass claims its keys only after
+        the pool's solves are persisted, so a concurrent batch needing an
+        instant group never waits on this batch's GRAPE solve. A read-only
+        batch writes nothing: its recency bumps stay in the store's memory
+        until the next writing batch, or the server's close, flushes them
+        (see :mod:`repro.service.store`). So it costs no manifest rewrite
+        and, on a replicated route, needs no write quorum. Returns both
+        passes and the plan cut over the pool's misses (None when nothing
+        missed).
         """
         cut: Optional[BatchPlan] = None
 
@@ -254,8 +259,9 @@ class CompileService:
 
         pool = self._claim_and_solve(plan.uncovered, solve_on_pool, perf)
         trivial = self._claim_and_solve(plan.trivial, solve_trivial, perf)
-        with perf.stage("service.store"):
-            self.store.flush()  # one manifest rewrite per batch
+        if pool.n_solved or trivial.n_solved:
+            with perf.stage("service.store"):
+                self.store.flush()  # one manifest rewrite per writing batch
         perf.count("service.coalesced", pool.n_coalesced)
         return pool, trivial, cut
 
@@ -320,7 +326,8 @@ class CompileService:
                 solved = solve([groups[index] for index in missing])
                 with perf.stage("service.store"):
                     # flush=False: the entry files are durable now; the
-                    # manifest rewrite is paid once per batch by _execute.
+                    # manifest rewrite is paid once per writing batch, by
+                    # _execute after both passes.
                     self.store.put_many(
                         [
                             LibraryEntry(

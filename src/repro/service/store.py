@@ -20,10 +20,19 @@ hits/misses/puts/evictions only in its :class:`PerfRecorder` (``stats`` is
 a read-only :class:`StoreStats` snapshot of those counters), and
 optionally bounds the entry count with least-recently-used eviction.
 Recency (last ``get``/``put`` of the key) is bumped in memory and
-persisted at the next ``flush`` — every ``put(flush=True)`` and every
-service batch flushes, and ``repro serve`` flushes on exit, so LRU order
-survives restarts for any writer; a purely read-only session that never
-flushes keeps its recency bumps to itself.
+persisted at the next ``flush``. Durability follows one rule:
+
+* every ``put(flush=True)``, and every service batch that writes, flushes
+  before it returns, so a completed write is in the manifest;
+* a read-only service batch does not flush: its recency bumps stay in
+  memory until the next writing batch's flush, the front door's close
+  (``repro serve``, the in-process server), a store server's ``stop``
+  (``repro store serve``) or ``repro batch``'s flush at exit.
+
+So a crash (``kill -9``) loses at most the recency of the reads since the
+last flush, and with it only the LRU order of a bounded store; never an
+entry. Eviction reads the in-memory recency, so a live bounded store
+evicts as if every read had been flushed.
 
 A manifest may carry an *engine fingerprint*: pulse latencies and waveforms
 are only meaningful for the engine/run configuration that produced them, so

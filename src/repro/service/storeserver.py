@@ -39,9 +39,12 @@ never be split by embedded content, whatever the entry holds. A
 ``snapshot`` reply carries the whole store on every call, but the server
 encodes each entry once: it keeps a memo from canonical key to (entry
 object, payload), rebuilt from every snapshot so it holds exactly that
-snapshot's entries, and re-encodes a key only when its store holds a
-different entry object there (after a re-put or a reload). The memo costs
-one encoded payload per live entry. Errors come
+snapshot's entries. Every reply that carries an entry (``get``, ``peek``,
+``get_many``, ``snapshot``) takes its payload from that memo when the memo
+holds the very entry object the store returned for the key, and encodes
+it otherwise (a key put or re-put since the last snapshot, a reload).
+Only ``snapshot`` rebuilds the memo, which costs one encoded payload per
+live entry. Errors come
 back as ``{"ok": false, "error": msg, "kind": k, "op": <op>}`` with
 ``kind`` one of ``"fingerprint"`` (engine-identity mismatch — the client
 re-raises it as a loud :class:`~repro.service.store.StoreVersionError`),
@@ -448,6 +451,7 @@ class StoreServer:
         self.port = port
         self.antientropy = antientropy
         self.stopped = threading.Event()
+        self._stop_lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_lock = threading.Lock()
@@ -456,7 +460,8 @@ class StoreServer:
         self._stats_lock = threading.Lock()
         self._stats_seq = 0  # bumped per stats reply (restart detector)
         # key -> (entry object, its encode_entry payload) for exactly the
-        # entries of the last snapshot reply; see _encode_snapshot.
+        # entries of the last snapshot reply; see _payload. Replaced whole,
+        # never mutated, so readers need no lock.
         self._snapshot_lock = threading.Lock()
         self._encoded: Dict[bytes, Tuple[LibraryEntry, str]] = {}
 
@@ -482,39 +487,45 @@ class StoreServer:
         return f"{self.host}:{self.port}"
 
     def stop(self) -> None:
-        """Close the listener and every live connection, then flush."""
-        if self.stopped.is_set():
-            return
-        self.stopped.set()
-        if self.antientropy is not None:
-            self.antientropy.stop()  # no half-finished round past flush
-        if self._listener is not None:
-            # shutdown() before close(): close alone does not wake a
-            # thread blocked in accept(), which would keep the port in
-            # LISTEN and block a restart on the same address.
+        """Close the listener and every live connection, then flush.
+
+        A second call returns only once the first has flushed: the
+        ``shutdown`` op stops the server from a connection thread, and
+        ``repro store serve`` must not exit before that flush lands.
+        """
+        with self._stop_lock:
+            if self.stopped.is_set():
+                return
+            self.stopped.set()
+            if self.antientropy is not None:
+                self.antientropy.stop()  # no half-finished round past flush
+            if self._listener is not None:
+                # shutdown() before close(): close alone does not wake a
+                # thread blocked in accept(), which would keep the port in
+                # LISTEN and block a restart on the same address.
+                try:
+                    self._listener.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                try:
+                    self._listener.close()
+                except OSError:
+                    pass
+            with self._conn_lock:
+                conns = list(self._conns)
+            for conn in conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                try:
+                    conn.close()
+                except OSError:
+                    pass
             try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self.store.flush()
-        except Exception:
-            pass  # shutdown must not raise over a best-effort flush
+                self.store.flush()
+            except Exception:
+                pass  # shutdown must not raise over a best-effort flush
 
     def serve_forever(self) -> None:
         """Block the calling thread until :meth:`stop` (or shutdown op)."""
@@ -556,23 +567,32 @@ class StoreServer:
                 self._conns.discard(conn)
 
     # ------------------------------------------------------------- requests
+    def _payload(self, key: bytes, entry: Optional[LibraryEntry]) -> Optional[str]:
+        """The wire payload of the entry the store returned for ``key``.
+
+        Served from the snapshot memo when it holds this very object under
+        ``key``; any other object (a put or re-put since the last
+        snapshot, a reload) is encoded. Stored entries are never mutated
+        in place, so one object always encodes to one payload.
+        """
+        if entry is None:
+            return None
+        cached = self._encoded.get(key)
+        if cached is not None and cached[0] is entry:
+            return cached[1]
+        return encode_entry(entry)
+
     def _encode_snapshot(self, store: StoreBackend) -> List[str]:
         """The ``snapshot`` reply's payloads, encoding only what changed.
 
         Each reply rebuilds the memo, so it holds exactly the entries of
-        the last snapshot. An entry is re-encoded only when the store holds
-        a different object under its key (a re-put, a reload): stored
-        entries are never mutated in place, so one object always encodes
-        to one payload.
+        the last snapshot.
         """
         with self._snapshot_lock:
             memo: Dict[bytes, Tuple[LibraryEntry, str]] = {}
             for entry in store.snapshot().entries():
                 key = entry.group.key()
-                cached = self._encoded.get(key)
-                if cached is None or cached[0] is not entry:
-                    cached = (entry, encode_entry(entry))
-                memo[key] = cached
+                memo[key] = (entry, self._payload(key, entry))
             self._encoded = memo
         return [payload for _, payload in memo.values()]
 
@@ -603,12 +623,10 @@ class StoreServer:
         store = self.store
         if op == "ping":
             return {"ok": True}
-        if op == "get":
-            entry = store.get_key(bytes.fromhex(request["key"]))
-            return {"ok": True, "entry": encode_entry(entry) if entry else None}
-        if op == "peek":
-            entry = store.peek_key(bytes.fromhex(request["key"]))
-            return {"ok": True, "entry": encode_entry(entry) if entry else None}
+        if op in ("get", "peek"):
+            key = bytes.fromhex(request["key"])
+            read = store.get_key if op == "get" else store.peek_key
+            return {"ok": True, "entry": self._payload(key, read(key))}
         if op == "put":
             store.put(
                 decode_entry(request["entry"]),
@@ -621,7 +639,8 @@ class StoreServer:
             return {
                 "ok": True,
                 "entries": [
-                    encode_entry(e) if e is not None else None for e in entries
+                    self._payload(key, entry)
+                    for key, entry in zip(keys, entries)
                 ],
             }
         if op == "put_many":

@@ -7,7 +7,9 @@ bounded. They check what only a real process shows: that a fleet of
 ``repro store serve`` + ``repro serve --workers remote`` + ``repro
 worker`` solves each group once, serves repeats from the store and shuts
 down cleanly with exit 0 everywhere; that ``repro store stats`` prints
-its totals and tables; and that ``repro dashboard`` exits 0 on SIGINT.
+its totals and tables; that a ``repro store serve`` killed between
+batches loses only read recency; and that ``repro dashboard`` exits 0 on
+SIGINT.
 """
 
 import json
@@ -23,7 +25,10 @@ import urllib.request
 import pytest
 
 import repro
-from repro.service import CompileService, PulseStore, StoreServer
+from repro.perf.instrument import PerfRecorder
+from repro.service import CompileService, PulseStore, RemoteStore, StoreServer
+from repro.service.service import engine_fingerprint
+from repro.service.store import key_digest
 from repro.utils.config import PipelineConfig
 from repro.workloads import qft
 
@@ -163,6 +168,66 @@ def test_remote_fleet_serves_from_store_and_exits_clean(tmp_path, spawn):
     assert table.returncode == 0, table.stderr
     assert f"repro store stats — {root}:" in table.stdout
     assert "merged:" in table.stdout
+
+
+def _manifest_rows(root):
+    with open(os.path.join(root, "manifest.json")) as handle:
+        return json.load(handle)["entries"]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals only")
+@pytest.mark.parametrize("end", ["sigkill", "shutdown"])
+def test_store_server_killed_between_batches_loses_only_read_recency(
+    tmp_path, spawn, end
+):
+    """A cold batch, then a warm one that makes no ``flush`` RPC, against a
+    ``repro store serve`` child. Killed with SIGKILL, the root reopens with
+    every entry the cold batch wrote, each with its manifest row, no
+    orphan entry file and the engine fingerprint: the manifest is the one
+    the cold batch flushed, so the warm batch's recency bumps are the only
+    state lost. Ended by the ``shutdown`` op, the server flushes them."""
+    root = str(tmp_path / "pulses")
+    child = spawn("store", "store", "serve", "--root", root, "--port", "0")
+    address = child.line()["serving"]
+    perf = PerfRecorder()
+    client = RemoteStore(f"remote://{address}", perf=perf)
+    try:
+        service = CompileService(
+            client, PipelineConfig(policy_name="map2b4l"), backend="serial"
+        )
+        cold = service.submit_batch([qft(5)])
+        written = cold.n_compiled + cold.n_trivial
+        assert cold.n_compiled > 0 and written == cold.n_unique
+        assert perf.counters["store.remote.ops.flush"] == 1
+        flushed = _manifest_rows(root)
+        warm = service.submit_batch([qft(5)])
+        assert warm.n_compiled == warm.n_trivial == 0
+        assert perf.counters["store.remote.ops.flush"] == 1
+    finally:
+        client.close()
+    if end == "sigkill":
+        child.proc.send_signal(signal.SIGKILL)
+        assert child.wait() == -signal.SIGKILL
+    else:
+        assert _ask(address, [{"op": "shutdown"}])[0]["ok"]
+        assert child.wait() == 0, child.log()
+
+    reopened = PulseStore(root)
+    rows = _manifest_rows(root)
+    entry_files = {
+        name[: -len(".json")]
+        for name in os.listdir(os.path.join(root, "entries"))
+    }
+    assert len(reopened) == written
+    assert {key_digest(key) for key in reopened.keys()} == set(rows)
+    assert set(rows) == entry_files == set(flushed)
+    assert reopened.fingerprints() == [engine_fingerprint(service.engine)]
+    if end == "sigkill":
+        assert rows == flushed
+    else:
+        for digest, row in rows.items():
+            assert row["recency"] > flushed[digest]["recency"]
+            assert dict(row, recency=0) == dict(flushed[digest], recency=0)
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals only")

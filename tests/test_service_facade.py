@@ -19,6 +19,7 @@ from repro.service.protocol import (
     resolve_program,
 )
 from repro.service.sharding import load_shard_map
+from repro.service.store import key_digest
 from repro.utils.config import PipelineConfig
 from repro.workloads import build_named, qft
 
@@ -64,6 +65,25 @@ def test_warm_store_compiles_nothing(tmp_path):
     for a, b in zip(cold.requests, warm.requests):
         assert a.overall_latency == b.overall_latency
         assert a.gate_based_latency == b.gate_based_latency
+
+
+def test_only_a_batch_that_writes_rewrites_the_manifest(tmp_path):
+    """A cold batch rewrites manifest.json before it returns; a warm one
+    only reads, so it leaves the file byte-identical and keeps its recency
+    bumps in memory until the next flush."""
+    service = _service(tmp_path)
+    manifest = tmp_path / "s" / "manifest.json"
+    stamped = manifest.read_bytes()  # the fingerprint claim's flush
+    cold = service.submit_batch([qft(5)])
+    assert cold.n_compiled > 0
+    written = manifest.read_bytes()
+    assert written != stamped
+    for warm_service in (service, _service(tmp_path)):
+        warm = warm_service.submit_batch([qft(5)])
+        assert warm.n_compiled == warm.n_trivial == 0
+        assert manifest.read_bytes() == written
+    warm_service.store.flush()  # the reads' recency bumps reach the disk
+    assert manifest.read_bytes() != written
 
 
 def test_warm_store_zero_grape_solves(tmp_path):
@@ -407,6 +427,48 @@ def test_cmd_batch_json_twice(tmp_path, capsys):
         assert second["store"]["hit_rate"] == 1.0
         assert second["store"]["puts"] == 0
     assert load_shard_map(str(tmp_path / "sharded"))["n_shards"] == 4
+
+
+def test_read_only_cmd_batch_persists_its_reads(tmp_path, capsys):
+    """``repro batch`` flushes once at exit: each of two read-only runs
+    over a bounded store moves the keys it read to the recent end of
+    manifest.json, and the next run that evicts spares them all."""
+    root = tmp_path / "store"
+
+    def run(program, *extra):
+        args = [program, "--store", str(root), "--backend", "serial",
+                "--workers", "1", "--json", *extra]
+        assert cmd_batch(args) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def recency():
+        manifest = json.loads((root / "manifest.json").read_text())
+        return {d: row["recency"] for d, row in manifest["entries"].items()}
+
+    def read_by(program):
+        store = PulseStore(str(tmp_path / program))
+        CompileService(
+            store, PipelineConfig(policy_name="map2b4l"), backend="serial"
+        ).submit_batch([resolve_program(program)])
+        return {key_digest(key) for key in store.keys()}
+
+    run("cm152a")
+    run("qft_6")
+    bound = ["--max-entries", str(len(recency()))]
+    read = set()
+    for program in ("4gt4-v0", "qft_4"):  # each covered by the runs above
+        before = recency()
+        summary = run(program, *bound)
+        assert summary["compiled_groups"] == summary["n_trivial"] == 0
+        keys = read_by(program)
+        read |= keys
+        after = recency()
+        assert set(after) == set(before)
+        newest_other = max(r for d, r in after.items() if d not in keys)
+        assert min(after[d] for d in keys) > newest_other
+    summary = run("ex2", *bound)
+    assert summary["store"]["evictions"] > 0
+    assert read <= set(recency())
 
 
 def test_cmd_batch_unknown_program_clean_error(tmp_path, capsys):

@@ -947,10 +947,87 @@ def test_evicted_key_leaves_the_snapshot_and_both_memos(tmp_path, codec_calls):
         server.stop()
 
 
+def _codec_delta(counts, before):
+    return {name: counts[name] - before[name] for name in counts}
+
+
+def test_get_many_after_a_snapshot_codes_nothing(tmp_path, codec_calls):
+    """A warm read of keys the last snapshot held is served by both memos:
+    no encode on the server, no decode on the client, and the entries are
+    the snapshot's own objects. ``get`` and ``peek`` read the same way."""
+    server, local = _serve(tmp_path)
+    try:
+        for i in range(5):
+            local.put(_pulse_entry(0.1 * (i + 1)), flush=False)
+        client = RemoteStore(f"remote://{server.address}")
+        snapshot, _ = _memo_snapshot(client, server, codec_calls)
+        keys = local.keys()
+        before = dict(codec_calls)
+        entries = client.get_many(keys)
+        one, peeked = client.get_key(keys[0]), client.peek_key(keys[1])
+        assert _codec_delta(codec_calls, before) == {"encode": 0, "decode": 0}
+        for key, entry in zip(keys, entries):
+            assert entry is snapshot.lookup_key(key)
+        assert one is snapshot.lookup_key(keys[0])
+        assert peeked is snapshot.lookup_key(keys[1])
+        assert client.stats.hits == len(keys) + 1
+    finally:
+        server.stop()
+
+
+def test_reads_after_a_reput_serve_the_new_entry(tmp_path, codec_calls):
+    """A key re-put with another pulse and latency since the last
+    snapshot: ``get_many``, ``get`` and ``peek`` all return the new entry,
+    never the one both memos still hold, and code only that key."""
+    server, local = _serve(tmp_path)
+    try:
+        old, other = _pulse_entry(0.4), _pulse_entry(0.7)
+        local.put(old)
+        local.put(other)
+        client = RemoteStore(f"remote://{server.address}")
+        _memo_snapshot(client, server, codec_calls)
+        new = _pulse_entry(0.4, latency=28.0, scale=0.5)
+        key = old.group.key()
+        client.put(new)
+        before = dict(codec_calls)
+        got, unchanged = client.get_many([key, other.group.key()])
+        assert _codec_delta(codec_calls, before) == {"encode": 1, "decode": 1}
+        for entry in (got, client.get_key(key), client.peek_key(key)):
+            assert entry.latency == 28.0
+            assert _entry_text(entry) == _entry_text(new)
+        assert _entry_text(unchanged) == _entry_text(other)
+        assert server._encoded[key][0] is not local.peek_key(key)
+    finally:
+        server.stop()
+
+
+def test_get_many_before_any_snapshot_codes_each_hit_once(
+    tmp_path, codec_calls
+):
+    """With both memos empty, a ``get_many`` encodes and decodes each hit
+    once, and only a snapshot fills the memos."""
+    server, local = _serve(tmp_path)
+    try:
+        for i in range(4):
+            local.put(_pulse_entry(0.1 * (i + 1)), flush=False)
+        client = RemoteStore(f"remote://{server.address}")
+        keys = local.keys() + [b"absent"]
+        entries = client.get_many(keys)
+        assert codec_calls == {"encode": 4, "decode": 4}
+        assert entries[-1] is None
+        assert [_entry_text(e) for e in entries[:-1]] == [
+            _entry_text(local.peek_key(k)) for k in keys[:-1]
+        ]
+        assert server._encoded == {} and client._decoded == {}
+    finally:
+        server.stop()
+
+
 def test_concurrent_snapshots_during_reputs_serve_whole_entries(tmp_path):
-    """Four clients snapshot while the server's store re-puts every key
-    between two versions: each reply carries, per key, one whole version,
-    and once the writes stop every client reads the store's contents."""
+    """Four clients snapshot and ``get_many`` while the server's store
+    re-puts every key between two versions: each reply carries, per key,
+    one whole version, and once the writes stop every client reads the
+    store's contents."""
     server, local = _serve(tmp_path)
     versions = [
         (_pulse_entry(angle), _pulse_entry(angle, latency=20.0, scale=0.5))
@@ -968,9 +1045,13 @@ def test_concurrent_snapshots_during_reputs_serve_whole_entries(tmp_path):
     bad = []
 
     def reader(client):
+        keys = list(allowed)
         while not stop.is_set():
             for key, text in _entry_texts(client.snapshot()).items():
                 if text not in allowed[key]:
+                    bad.append(key)
+            for key, entry in zip(keys, client.get_many(keys)):
+                if _entry_text(entry) not in allowed[key]:
                     bad.append(key)
 
     def writer():

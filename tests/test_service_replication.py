@@ -372,6 +372,48 @@ def test_quorum_error_propagates_through_batch_front_door(tmp_path, config):
         server_b.stop()
 
 
+def test_covered_batch_needs_no_write_quorum(tmp_path, config, capsys):
+    """w=all over a pair whose primary is stopped: a fully covered batch
+    is answered by failover reads and raises no QuorumError, because it
+    writes and flushes nothing; ``repro batch`` over it exits 0. A batch
+    that must write still raises."""
+    from repro.service.frontdoor import cmd_batch
+
+    server_a, _ = _serve(tmp_path, "ra")
+    server_b, _ = _serve(tmp_path, "rb")
+    try:
+        feed = open_store(f"remote://{server_a.address}|{server_b.address}")
+        CompileService(feed, config, backend="serial").submit_batch([qft(4)])
+        server_a.stop()
+        spec = _fast_spec(server_a, server_b, "all")
+        store = open_store(spec)
+        warm = CompileService(store, config, backend="serial").submit_batch(
+            [qft(4)]
+        )
+        assert warm.n_compiled == warm.n_trivial == 0
+        assert warm.coverage_rate == 1.0
+        assert warm.requests[0].overall_latency > 0
+        assert store.stats.failovers > 0
+        assert store.stats.quorum_failures == 0
+
+        code = cmd_batch(
+            ["qft_4", "--store", spec, "--backend", "serial", "--json"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert json.loads(out)["batch_coverage_rate"] == 1.0
+        assert "read recency not flushed" in err  # exit flush missed A
+
+        with pytest.raises(QuorumError):
+            CompileService(store, config, backend="serial").submit_batch(
+                [qft(5)]
+            )
+        assert store.stats.quorum_failures == 1
+    finally:
+        server_a.stop()
+        server_b.stop()
+
+
 def test_cmd_batch_reports_quorum_failure_exit_3(tmp_path, config, capsys):
     from repro.service.frontdoor import cmd_batch
 
@@ -590,6 +632,8 @@ def test_cold_batch_issues_o_shards_read_rpcs(tmp_path, config):
             # groups, then trivial ones), never a per-key put
             assert counters.get(prefix + "ops.put", 0) == 0, counters
             assert 1 <= counters.get(prefix + "ops.put_many", 0) <= 2, counters
+            # ...and the batch wrote, so it flushed each shard once
+            assert counters.get(prefix + "ops.flush", 0) == 1, counters
         batched = [n for n in perf.stages if n.endswith("batched_rpc")]
         assert batched, "batched reads never hit the batched_rpc stage"
 
@@ -607,6 +651,8 @@ def test_cold_batch_issues_o_shards_read_rpcs(tmp_path, config):
             assert 1 <= perf_warm.counters.get(prefix + "ops.get_many", 0) <= 4
             # nothing to solve, so no snapshot crossed the wire
             assert perf_warm.counters.get(prefix + "ops.snapshot", 0) == 0
+            # nothing written, so nothing to flush
+            assert perf_warm.counters.get(prefix + "ops.flush", 0) == 0
     finally:
         for server in servers:
             server.stop()
