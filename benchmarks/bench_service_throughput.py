@@ -749,12 +749,8 @@ def _simulated_worker(spec, per_task_s, stop):
     is the bench's reproducible straggler."""
     import socket as socket_mod
 
-    from repro.service.remote import (
-        _pack,
-        _unpack,
-        parse_remote_spec,
-        run_part,
-    )
+    from repro.service.executor import run_part_payload
+    from repro.service.remote import parse_remote_spec
 
     host, port = parse_remote_spec(spec)
     deadline = time.monotonic() + 30
@@ -776,15 +772,14 @@ def _simulated_worker(spec, per_task_s, stop):
                 break
             if message.get("op") != "part":
                 continue
-            engine, worker, tasks = _unpack(message["payload"])
             started = time.perf_counter()
-            outcome = run_part(engine, worker, tasks)
-            time.sleep(per_task_s * len(tasks))
-            outcome.wall_s = time.perf_counter() - started
+            outcome = run_part_payload(message["payload"])
+            time.sleep(per_task_s * len(message["payload"]["tasks"]))
+            outcome["wall_s"] = time.perf_counter() - started
             reply = {
                 "op": "outcome",
                 "job": message.get("job"),
-                "payload": _pack(outcome),
+                "payload": outcome,
             }
             stream.write((json.dumps(reply) + "\n").encode())
             stream.flush()

@@ -46,36 +46,53 @@ class CoverageReport:
         return self.n_covered / self.n_groups
 
 
-def entry_to_dict(entry: LibraryEntry) -> Dict:
-    """Serialize one library entry (shared by the library and the disk store)."""
-    group = entry.group
+def group_to_dict(group: GateGroup) -> Dict:
+    """A group's gates as JSON: the encoding the store's entries and the
+    worker fabric's tasks share. The wire order (``group.qubits``) is not
+    in it; entries leave it ascending."""
     return {
-        "key": entry.group.key().hex(),
-        "latency": entry.latency,
-        "iterations": entry.iterations,
-        "converged": entry.converged,
         "n_qubits": group.n_qubits,
         "gates": [
             {"name": g.name, "qubits": list(g.qubits), "params": list(g.params)}
             for g in group.gates
         ],
         "node_indices": list(group.node_indices),
-        "pulse": entry.pulse.to_dict() if entry.pulse else None,
     }
 
 
-def entry_from_dict(raw: Dict) -> LibraryEntry:
-    """Inverse of :func:`entry_to_dict`."""
+def group_from_dict(raw: Dict) -> GateGroup:
+    """Inverse of :func:`group_to_dict`; a ``qubits`` list, when the dict
+    carries one, sets the wire order."""
     from repro.circuits.gates import Gate
 
     gates = [
         Gate(g["name"], tuple(g["qubits"]), tuple(g["params"]))
         for g in raw["gates"]
     ]
-    group = GateGroup(gates=gates, node_indices=tuple(raw.get("node_indices", ())))
+    return GateGroup(
+        gates=gates,
+        qubits=tuple(raw.get("qubits", ())),
+        node_indices=tuple(raw.get("node_indices", ())),
+    )
+
+
+def entry_to_dict(entry: LibraryEntry) -> Dict:
+    """Serialize one library entry (shared by the library and the disk store)."""
+    return {
+        "key": entry.group.key().hex(),
+        "latency": entry.latency,
+        "iterations": entry.iterations,
+        "converged": entry.converged,
+        **group_to_dict(entry.group),
+        "pulse": entry.pulse.to_dict() if entry.pulse else None,
+    }
+
+
+def entry_from_dict(raw: Dict) -> LibraryEntry:
+    """Inverse of :func:`entry_to_dict`."""
     pulse = Pulse.from_dict(raw["pulse"]) if raw.get("pulse") else None
     return LibraryEntry(
-        group=group,
+        group=group_from_dict(raw),
         pulse=pulse,
         latency=float(raw["latency"]),
         iterations=int(raw["iterations"]),

@@ -21,7 +21,7 @@ Fig 8 and the inverse function a pessimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -261,3 +261,46 @@ class ModelEngine:
             self.iterations.r0 = float(coeffs[0])
             self.iterations.r1 = float(coeffs[1])
         return self
+
+
+def engine_spec(engine) -> Dict:
+    """An engine as JSON: its kind and the dataclass fields of every
+    config it compiles with, from which :func:`engine_from_spec` rebuilds
+    an engine that returns the same records. Only exact
+    :class:`GrapeEngine` and :class:`ModelEngine` instances have a spec
+    (a subclass may compile differently); any other engine raises
+    ``TypeError``."""
+    kind = type(engine)
+    if kind is not GrapeEngine and kind is not ModelEngine:
+        raise TypeError(
+            f"no engine spec for {kind.__name__}: only GrapeEngine and "
+            f"ModelEngine instances have one"
+        )
+    spec = {
+        "kind": kind.name,
+        "physics": asdict(engine.physics),
+        "estimator": asdict(engine.estimator),
+    }
+    if kind is GrapeEngine:
+        spec["run"] = asdict(engine.run)
+    else:
+        spec["iterations"] = asdict(engine.iterations)
+    return spec
+
+
+def engine_from_spec(spec: Dict):
+    """Inverse of :func:`engine_spec`."""
+    estimator = dict(spec["estimator"])
+    estimator["physics"] = PhysicsConfig(**estimator["physics"])
+    physics = PhysicsConfig(**spec["physics"])
+    if spec["kind"] == GrapeEngine.name:
+        return GrapeEngine(
+            physics, RunConfig(**spec["run"]), LatencyEstimator(**estimator)
+        )
+    if spec["kind"] == ModelEngine.name:
+        return ModelEngine(
+            physics,
+            LatencyEstimator(**estimator),
+            IterationModel(**spec["iterations"]),
+        )
+    raise ValueError(f"unknown engine kind {spec['kind']!r}")

@@ -3,8 +3,10 @@
 Three local backends behind one interface (mirroring the ``GrapeEngine`` /
 ``ModelEngine`` split): ``serial`` runs parts in the calling thread,
 ``thread`` uses a ``ThreadPoolExecutor``, ``process`` uses a
-``ProcessPoolExecutor`` with picklable per-part payloads (module-level
-worker function, engine shipped by pickle, records shipped back).
+``ProcessPoolExecutor`` (module-level worker function; the engine, tasks
+and records travel by pickle). ``ProcessBackend`` is the only pickling
+path in ``repro.service``, and its bytes go only to and from the pool's
+own child processes.
 
 Threads do not overlap GRAPE solves. For these 2- and 4-dimensional
 problems a cost/gradient evaluation is bound by numpy call overhead, not by
@@ -19,9 +21,11 @@ The same ``map_parts`` seam also crosses hosts:
 :class:`repro.service.remote.RemoteExecutor` dispatches the parts to
 connected ``repro worker`` processes — any object with ``map_parts``
 passes straight through :func:`make_backend`, so the service never knows
-where its solves ran. Because every :class:`GroupTask` carries its warm
-seed resolved from the batch snapshot (see below), where a part runs can
-never change what it produces.
+where its solves ran. Parts and outcomes cross the fabric as JSON
+(:func:`encode_part`, :func:`run_part_payload`, :func:`decode_outcome`).
+Because every :class:`GroupTask` carries its warm seed resolved from the
+batch snapshot (see below), where a part runs can never change what it
+produces.
 
 A worker runs its part through :func:`repro.core.dynamic.compile_in_order`,
 the compile walk static pre-compilation and dynamic compilation use too.
@@ -54,9 +58,11 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cache import PulseLibrary
+import numpy as np
+
+from repro.core.cache import PulseLibrary, group_from_dict, group_to_dict
 from repro.core.dynamic import Seed, best_library_seeds, compile_in_order
-from repro.core.engines import CompileRecord
+from repro.core.engines import CompileRecord, engine_from_spec
 from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.qoc.pulse import Pulse
@@ -67,7 +73,8 @@ WARM_MODES = ("store", "chain")
 
 @dataclass
 class GroupTask:
-    """One group's compile order within a part (picklable)."""
+    """One group's compile order within a part (crosses the worker fabric
+    as JSON, see :func:`encode_part`)."""
 
     group: GateGroup
     seed_tag: str  # deterministic: derived from the canonical key
@@ -144,6 +151,146 @@ def run_part(
     )
 
 
+# --------------------------------------------------------------- wire schema
+# The worker fabric (repro.service.remote) ships parts and outcomes as JSON
+# built from the store's codecs: groups by group_to_dict plus their wire
+# order, pulses by Pulse.to_dict, engines by engine_spec. json writes each
+# float as its shortest repr, which reads back exactly, so pulses and
+# latencies cross bit for bit.
+_NUMBER = (int, float)
+
+
+def _group_to_wire(group: GateGroup) -> Dict:
+    return {**group_to_dict(group), "qubits": list(group.qubits)}
+
+
+def _optional(value, codec):
+    return None if value is None else codec(value)
+
+
+def encode_part(spec: Dict, worker: int, tasks: Sequence[GroupTask]) -> Dict:
+    """The payload of a fabric ``part`` frame: the engine's ``spec``
+    (:func:`~repro.core.engines.engine_spec`), the worker label and the
+    tasks, warm seeds included."""
+    return {
+        "engine": spec,
+        "worker": worker,
+        "tasks": [
+            {
+                "group": _group_to_wire(task.group),
+                "seed_tag": task.seed_tag,
+                "parent_local": task.parent_local,
+                "seed_pulse": _optional(task.seed_pulse, Pulse.to_dict),
+                "seed_source": _optional(task.seed_source, _group_to_wire),
+            }
+            for task in tasks
+        ],
+    }
+
+
+def run_part_payload(payload: Dict) -> Dict:
+    """The worker side of the fabric: a ``part`` payload in, the payload of
+    its ``outcome`` frame out. The outcome carries no queue wait; the
+    dispatcher measures that itself."""
+    tasks = [
+        GroupTask(
+            group=group_from_dict(raw["group"]),
+            seed_tag=raw["seed_tag"],
+            parent_local=raw["parent_local"],
+            seed_pulse=_optional(raw["seed_pulse"], Pulse.from_dict),
+            seed_source=_optional(raw["seed_source"], group_from_dict),
+        )
+        for raw in payload["tasks"]
+    ]
+    outcome = run_part(
+        engine_from_spec(payload["engine"]), payload["worker"], tasks
+    )
+    return {
+        "worker": outcome.worker,
+        "records": [
+            {
+                "latency": record.latency,
+                "iterations": record.iterations,
+                "converged": record.converged,
+                "pulse": _optional(record.pulse, Pulse.to_dict),
+                "probes": record.probes,
+                "warm_started": record.warm_started,
+                "probes_skipped": record.probes_skipped,
+            }
+            for record in outcome.records
+        ],
+        "wall_s": outcome.wall_s,
+        "perf_stages": outcome.perf_stages,
+        "perf_counters": outcome.perf_counters,
+    }
+
+
+def decode_outcome(payload, n_tasks: int) -> PartOutcome:
+    """An ``outcome`` payload from a worker, which the dispatcher does not
+    trust: every field is type-checked, and the part's ``n_tasks`` tasks
+    must each have a record. Anything malformed (not an object, a missing
+    key, a wrong type) raises ``ValueError``."""
+    try:
+        records = [
+            _decode_record(raw) for raw in _field(payload, "records", list)
+        ]
+        if len(records) != n_tasks:
+            raise ValueError(
+                f"{len(records)} records for a part of {n_tasks} tasks"
+            )
+        stages = _field(payload, "perf_stages", dict)
+        counters = _field(payload, "perf_counters", dict)
+        return PartOutcome(
+            worker=_field(payload, "worker", int),
+            records=records,
+            wall_s=float(_field(payload, "wall_s", _NUMBER)),
+            perf_stages={
+                name: float(_field(stages, name, _NUMBER)) for name in stages
+            },
+            perf_counters={name: _field(counters, name, int) for name in counters},
+        )
+    except (KeyError, OverflowError) as exc:  # a missing key; float() of a huge int
+        raise ValueError(f"malformed outcome payload: {exc!r}") from None
+
+
+def _field(raw, name: str, kind):
+    """``raw[name]`` when ``raw`` is a JSON object and the value has type
+    ``kind`` (a bool is no number), else ``ValueError``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    value = raw[name]
+    if not isinstance(value, kind) or (
+        isinstance(value, bool) and kind is not bool
+    ):
+        raise ValueError(f"{name!r} has type {type(value).__name__}")
+    return value
+
+
+def _decode_record(raw) -> CompileRecord:
+    return CompileRecord(
+        latency=float(_field(raw, "latency", _NUMBER)),
+        iterations=_field(raw, "iterations", int),
+        converged=_field(raw, "converged", bool),
+        pulse=_optional(_field(raw, "pulse", (dict, type(None))), _decode_pulse),
+        probes=_field(raw, "probes", int),
+        warm_started=_field(raw, "warm_started", bool),
+        probes_skipped=_field(raw, "probes_skipped", int),
+    )
+
+
+def _decode_pulse(raw: Dict) -> Pulse:
+    amplitudes = np.asarray(_field(raw, "amplitudes", list))
+    if amplitudes.ndim != 2 or amplitudes.dtype.kind not in "fi":
+        raise ValueError("pulse amplitudes are not a matrix of numbers")
+    labels = _field(raw, "control_labels", list)
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError("pulse control labels are not strings")
+    _field(raw, "dt", _NUMBER)
+    _field(raw, "n_qubits", int)
+    _field(raw, "infidelity", _NUMBER)
+    return Pulse.from_dict(raw)
+
+
 # ------------------------------------------------------------------ backends
 class SerialBackend:
     """Parts run one after another in the calling thread."""
@@ -187,7 +334,8 @@ class ThreadBackend:
 
 
 class ProcessBackend:
-    """One OS process per part; payloads and records travel by pickle."""
+    """One OS process per part; payloads and records travel by pickle to
+    and from the pool's own children."""
 
     name = "process"
 

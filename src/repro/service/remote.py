@@ -24,9 +24,9 @@ Two halves, cashing in the two extension seams the service layer left:
 * :class:`RemoteExecutor` + :func:`worker_loop` — the executors'
   ``map_parts`` seam across processes/hosts. The executor listens; each
   ``repro worker --connect host:port`` process dials in, receives
-  pickled :class:`~repro.service.executor.GroupTask` lists (warm seeds
-  already resolved from the batch's store snapshot, so pulses stay
-  bit-identical to the serial executor), runs
+  :class:`~repro.service.executor.GroupTask` lists (warm seeds already
+  resolved from the batch's store snapshot, so pulses stay bit-identical
+  to the serial executor), runs
   :func:`~repro.service.executor.run_part`, and ships the
   :class:`~repro.service.executor.PartOutcome` back. *Which* worker runs
   *which* part is decided by the
@@ -41,12 +41,21 @@ Two halves, cashing in the two extension seams the service layer left:
   tasks carry their own seeds, so the produced pulses are byte-identical
   to the serial executor no matter where or when a part lands.
 
-Worker wire format: JSON lines carrying base64-framed pickles
-(``{"op": "part", "job": n, "payload": <b64 pickle of (engine, worker,
-tasks)>}`` answered by ``{"op": "outcome", ...}`` or ``{"op": "error",
-"error": msg}``). Pickle over TCP means the fabric trusts its peers —
-run it on a private network, exactly like the process-pool backend
-trusts ``fork``.
+Worker wire format: JSON lines, one schema in
+:mod:`~repro.service.executor` built from the store's codecs. A
+``{"op": "part", "job": n, "payload": {"engine", "worker", "tasks"}}``
+frame carries the engine's :func:`~repro.core.engines.engine_spec`
+(exact ``GrapeEngine``/``ModelEngine`` only; ``map_parts`` refuses any
+other engine with ``TypeError`` before queueing) and each task's group
+(``group_to_dict`` plus its wire order), seed tag, chain parent, seed
+pulse (``Pulse.to_dict``) and seed source. The worker answers
+``{"op": "outcome", "job": n, "payload": {"worker", "records",
+"wall_s", "perf_stages", "perf_counters"}}`` (each record the seven
+``CompileRecord`` fields) or ``{"op": "error", "error": msg}``. Peers
+are untrusted: no bytes off the wire are unpickled, and the dispatcher
+type-checks every outcome (:func:`~repro.service.executor.decode_outcome`)
+— a malformed one is a wire failure, so its part is requeued and the
+worker retired.
 
 Per-hop wire timings surface in ``repro perf``: every remote part outcome
 carries a ``wire`` stage (round-trip minus worker compute, i.e. transport
@@ -64,10 +73,8 @@ failover reads and fan-out writes over several ``RemoteStore`` peers.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
-import pickle
 import random
 import socket
 import threading
@@ -81,9 +88,17 @@ from repro.core.cache import (
     LibraryEntry,
     PulseLibrary,
 )
+from repro.core.engines import engine_spec
 from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder, recorder_or_null
-from repro.service.executor import GroupTask, PartOutcome, run_part
+from repro.service.executor import (
+    GroupTask,
+    PartOutcome,
+    decode_outcome,
+    encode_part,
+    run_part,
+    run_part_payload,
+)
 from repro.service.scheduler import (
     CLOSE_FABRIC,
     FabricScheduler,
@@ -682,34 +697,11 @@ class RemoteStore(StoreBackend):
 
 
 # ---------------------------------------------------------------- executor
-def _pack(obj) -> str:
-    return base64.b64encode(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
-
-
-def _unpack(payload: str):
-    return pickle.loads(base64.b64decode(payload.encode("ascii")))
-
-
-def _unpack_outcome(payload) -> PartOutcome:
-    """A worker reply's :class:`PartOutcome`; ``ValueError`` for a payload
-    that is missing, does not decode, or decodes to something else."""
-    try:
-        outcome = _unpack(payload)
-    except Exception as exc:
-        raise ValueError(f"undecodable outcome payload: {exc!r}") from exc
-    if not isinstance(outcome, PartOutcome):
-        raise ValueError(
-            f"outcome payload holds a {type(outcome).__name__}, "
-            f"not a PartOutcome"
-        )
-    return outcome
-
-
 class _MapJob:
     """Bookkeeping for one ``map_parts`` call (outcomes land out of order)."""
 
-    def __init__(self, n_parts: int) -> None:
-        self.n_parts = n_parts
+    def __init__(self, parts: Sequence[Tuple[int, List[GroupTask]]]) -> None:
+        self.parts = parts  # in memory, for the local drain
         self.outcomes: Dict[int, PartOutcome] = {}
         self.error: Optional[BaseException] = None
         self.started_at = time.perf_counter()
@@ -728,11 +720,11 @@ class _MapJob:
 
     def done(self) -> bool:
         with self._cond:
-            return self.error is not None or len(self.outcomes) >= self.n_parts
+            return self.error is not None or len(self.outcomes) >= len(self.parts)
 
     def wait(self, timeout: float) -> None:
         with self._cond:
-            if self.error is None and len(self.outcomes) < self.n_parts:
+            if self.error is None and len(self.outcomes) < len(self.parts):
                 self._cond.wait(timeout)
 
 
@@ -858,9 +850,9 @@ class RemoteExecutor:
         Which part this handler pulls next is the scheduler's decision
         (own reservation queue → pending pool → steal); the handler owns
         only the wire. On any wire failure (a disconnect, or a reply that
-        is not a JSON object or whose ``payload`` is missing or is not a
-        :class:`PartOutcome`) the in-flight part goes *back
-        on the scheduler before* the connection retires
+        is not a JSON object or whose ``payload`` fails
+        :func:`~repro.service.executor.decode_outcome`) the in-flight part
+        goes *back on the scheduler before* the connection retires
         (:meth:`FabricScheduler.release`), so dispatch can never observe
         zero workers while a recoverable part is invisible.
         """
@@ -919,7 +911,10 @@ class RemoteExecutor:
                     if not isinstance(message, dict):
                         raise ValueError("worker reply is not a JSON object")
                     if message.get("op") != "error":
-                        outcome = _unpack_outcome(message.get("payload"))
+                        _, tasks = item.job.parts[item.index]
+                        outcome = decode_outcome(
+                            message.get("payload"), len(tasks)
+                        )
                 except (OSError, ValueError):
                     # Disconnect or garbled reply mid-part: requeue first,
                     # then retire this worker. A part whose job already
@@ -942,7 +937,6 @@ class RemoteExecutor:
                 outcome.queue_wait_s = max(
                     0.0, dispatched_at - job.started_at
                 )
-                outcome.perf_stages = dict(outcome.perf_stages)
                 outcome.perf_stages["wire"] = max(
                     0.0, roundtrip - outcome.wall_s
                 )
@@ -969,7 +963,7 @@ class RemoteExecutor:
     def _drain_locally(self, engine, job: _MapJob) -> None:
         """No workers left: run whatever is still scheduled in-process."""
         for item in self.scheduler.take_job(job):
-            _, worker, tasks = _unpack(item.payload)
+            worker, tasks = job.parts[item.index]
             self.n_local_fallback += 1
             try:
                 outcome = run_part(engine, worker, tasks, job.started_at)
@@ -986,18 +980,21 @@ class RemoteExecutor:
     ) -> List[PartOutcome]:
         """Run the parts on the fabric; ``weights`` are the plan's modelled
         per-part iteration costs (task counts when absent) — the unit the
-        scheduler's placement and throughput EWMA are denominated in."""
+        scheduler's placement and throughput EWMA are denominated in.
+        An engine with no :func:`~repro.core.engines.engine_spec` raises
+        ``TypeError`` before any part is queued."""
         if not parts:
             return []
+        spec = engine_spec(engine)
         have_worker = self.scheduler.wait_for_worker(self.wait_workers_s)
-        job = _MapJob(len(parts))
+        job = _MapJob(parts)
         if weights is None:
             weights = [float(len(tasks)) for _, tasks in parts]
         items = [
             ScheduledPart(
                 job=job,
                 index=index,
-                payload=_pack((engine, worker, tasks)),
+                payload=encode_part(spec, worker, tasks),
                 weight=max(float(weight), 1e-9),
             )
             for index, ((worker, tasks), weight) in enumerate(
@@ -1055,12 +1052,14 @@ def worker_loop(
     """One solver worker: dial the fabric, run parts until it hangs up.
 
     The counterpart of :class:`RemoteExecutor` (``repro worker --connect
-    host:port``). Each ``part`` message carries (engine, worker label,
-    tasks) — warm seeds included — so :func:`run_part` here produces the
-    same bytes the serial executor would. A solve failure is reported as
-    an ``error`` message (the dispatcher fails the batch; a *crash* of
-    this process instead triggers reassignment). A line that is not a
-    JSON object is skipped. Returns the number of parts handled.
+    host:port``). Each ``part`` message carries the engine spec, the
+    worker label and the tasks — warm seeds included — so
+    :func:`~repro.service.executor.run_part_payload` here produces the
+    same bytes the serial executor would. A part that does not decode or
+    solve is answered with an ``error`` message (the dispatcher fails the
+    batch; a *crash* of this process instead triggers reassignment). A
+    line that is not a JSON object is skipped. Returns the number of parts
+    handled.
 
     The fabric may come up *after* its workers (scripted deployments
     start both at once), so the dial-in keeps retrying under the same
@@ -1101,12 +1100,10 @@ def worker_loop(
             if op != "part":
                 continue
             try:
-                engine, worker, tasks = _unpack(message["payload"])
-                outcome = run_part(engine, worker, tasks)
                 reply = {
                     "op": "outcome",
                     "job": message.get("job"),
-                    "payload": _pack(outcome),
+                    "payload": run_part_payload(message["payload"]),
                 }
             except Exception as exc:
                 reply = {

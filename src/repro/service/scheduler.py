@@ -61,14 +61,15 @@ class ScheduledPart:
 
     ``job`` is duck-typed — the scheduler only needs ``done()`` (to drop
     parts whose batch already failed or drained elsewhere) and identity
-    (to purge one job's parts). ``weight`` is the modelled iteration
+    (to purge one job's parts). ``payload`` is opaque here: what the
+    worker handler sends. ``weight`` is the modelled iteration
     cost from the batch plan (falls back to the task count), the unit
     the throughput EWMA is denominated in.
     """
 
     job: object
     index: int
-    payload: str
+    payload: object
     weight: float = 1.0
 
 

@@ -24,16 +24,17 @@ program with
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.core.cache import LibraryEntry
-from repro.core.engines import CompileRecord, compile_with_engine
+from repro.core.engines import CompileRecord, IterationModel, compile_with_engine
 from repro.core.pipeline import AccQOC, program_latencies
 from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder
 from repro.perf.report import PerfReport
+from repro.qoc.estimator import LatencyEstimator
 from repro.service.executor import (
     GroupCoalescer,
     WorkerPoolExecutor,
@@ -41,7 +42,7 @@ from repro.service.executor import (
 )
 from repro.service.planner import BatchPlan, CompilePlanner
 from repro.service.store import StoreBackend
-from repro.utils.config import PipelineConfig
+from repro.utils.config import PipelineConfig, RunConfig
 
 
 @dataclass
@@ -114,7 +115,11 @@ def engine_fingerprint(engine) -> str:
     produced them — a model-engine store must not silently serve a GRAPE
     client (and vice versa). Covers the engine kind, the physics that sets
     slice length and drive bounds, and (for real optimizers) the run budget
-    and seed that make solves reproducible.
+    and seed that make solves reproducible. Every other field of the run
+    budget, the latency estimator and the iteration model is appended as
+    ``<part>.<field>=<repr>`` where it differs from its default, so a
+    default engine keeps the stamp it always had and its stores still open.
+    Attributes are looked up by name, so engine-shaped objects stamp too.
     """
     parts = [getattr(engine, "name", type(engine).__name__)]
     physics = getattr(engine, "physics", None)
@@ -128,7 +133,30 @@ def engine_fingerprint(engine) -> str:
         parts.append(f"iters={run.max_iterations}")
         parts.append(f"probes={run.binary_search_max_probes}")
         parts.append(f"seed={run.seed}")
+        parts += _changed_fields(
+            "run",
+            run,
+            RunConfig(),
+            ("target_infidelity", "max_iterations", "binary_search_max_probes", "seed"),
+        )
+    estimator = getattr(engine, "estimator", None)
+    if estimator is not None:
+        parts += _changed_fields("estimator", estimator, LatencyEstimator(physics))
+    iterations = getattr(engine, "iterations", None)
+    if iterations is not None:
+        parts += _changed_fields("iterations", iterations, IterationModel())
     return ";".join(parts)
+
+
+def _changed_fields(label: str, value, default, stamped=()) -> List[str]:
+    """``label.field=repr`` for each dataclass field of ``default`` (but
+    the ``stamped`` ones) that ``value`` sets differently."""
+    return [
+        f"{label}.{field.name}={getattr(value, field.name)!r}"
+        for field in fields(default)
+        if field.name not in stamped
+        and getattr(value, field.name) != getattr(default, field.name)
+    ]
 
 
 class CompileService:

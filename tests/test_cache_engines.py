@@ -150,3 +150,37 @@ def test_gate_tables_shared_between_engines():
     a = ModelEngine().gate_table()
     b = GrapeEngine().gate_table()
     assert a.durations == b.durations  # both are the calibrated baseline
+
+
+def test_engine_spec_rebuilds_every_config_field():
+    """An engine spec survives JSON and rebuilds an engine of the same
+    kind with equal physics, estimator, run budget and iteration model,
+    non-default fields included; an engine subclass has no spec."""
+    import json
+    from dataclasses import replace
+
+    from repro.core.engines import engine_from_spec, engine_spec
+    from repro.qoc.estimator import LatencyEstimator
+    from repro.utils.config import PhysicsConfig
+
+    physics = PhysicsConfig(dt=1.0)
+    estimator = LatencyEstimator(physics, offset_2q=5.0, quantize=False)
+    engines = [
+        ModelEngine(physics, estimator, IterationModel(base_2q=300.0, r0=0.4)),
+        GrapeEngine(physics, replace(RunConfig().fast(), cold_start_noise=0.2)),
+    ]
+    for engine in engines:
+        rebuilt = engine_from_spec(json.loads(json.dumps(engine_spec(engine))))
+        assert type(rebuilt) is type(engine)
+        assert rebuilt.physics == engine.physics
+        assert rebuilt.estimator == engine.estimator
+        if isinstance(engine, GrapeEngine):
+            assert rebuilt.run == engine.run
+        else:
+            assert rebuilt.iterations == engine.iterations
+
+    class Subclass(ModelEngine):
+        pass
+
+    with pytest.raises(TypeError):
+        engine_spec(Subclass())

@@ -1,18 +1,26 @@
 """Worker pool executor: backends agree, coalescing, perf wiring, warm modes."""
 
+import json
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core.cache import PulseLibrary
-from repro.core.engines import CompileRecord, GrapeEngine
+from repro.circuits.gates import Gate
+from repro.core.engines import CompileRecord, GrapeEngine, engine_spec
+from repro.grouping.group import GateGroup
 from repro.core.pipeline import AccQOC
 from repro.perf.instrument import PerfRecorder
 from repro.service.executor import (
     GroupCoalescer,
+    GroupTask,
     WorkerPoolExecutor,
+    decode_outcome,
+    encode_part,
     make_backend,
+    run_part,
+    run_part_payload,
     seed_tag_for,
 )
 from repro.service.planner import CompilePlanner
@@ -119,6 +127,92 @@ def test_batched_seeds_match_per_pair_oracle(pipeline, plan):
         assert (pulse is None) == (expected_pulse is None)
         if source is not None:
             assert source.key() == expected_source.key()
+
+
+def test_part_crosses_the_wire_bit_for_bit():
+    """A part through the fabric's JSON schema (encode, the worker's
+    ``run_part_payload``, decode) gives exactly the records ``run_part``
+    gives in process: a GRAPE task on a group whose wire order is not
+    ascending, seeded from a stored pulse and its source group."""
+    engine = GrapeEngine(
+        PipelineConfig().physics, PipelineConfig().run.fast()
+    )
+    source = GateGroup(gates=[Gate("cx", (0, 1))])
+    group = GateGroup(
+        gates=[Gate("cx", (0, 1)), Gate("rz", (1,), (0.3,))], qubits=(1, 0)
+    )
+    tasks = [
+        GroupTask(
+            group=group,
+            seed_tag=seed_tag_for(group),
+            seed_pulse=engine.compile_group(source, seed_tag="seed").pulse,
+            seed_source=source,
+        )
+    ]
+    wire = json.loads(json.dumps(encode_part(engine_spec(engine), 3, tasks)))
+    reply = json.loads(json.dumps(run_part_payload(wire)))
+    outcome = decode_outcome(reply, len(tasks))
+    reference = run_part(engine, 3, tasks)
+    assert outcome.worker == 3
+    assert outcome.perf_counters == reference.perf_counters
+    for mine, ref in zip(outcome.records, reference.records):
+        assert mine.pulse.amplitudes.tobytes() == ref.pulse.amplitudes.tobytes()
+        assert vars(mine.pulse).keys() == vars(ref.pulse).keys()
+        assert {**vars(mine), "pulse": None} == {**vars(ref), "pulse": None}
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda p: "gASVAAAA",  # a base64 pickle frame
+        lambda p: [p],
+        lambda p: {k: v for k, v in p.items() if k != "wall_s"},
+        lambda p: {**p, "records": p["records"] * 2},
+        lambda p: {**p, "worker": "0"},
+        lambda p: {**p, "wall_s": 10**400},
+        lambda p: {**p, "records": [{**p["records"][0], "converged": 1}]},
+        lambda p: {**p, "records": [{**p["records"][0], "latency": "4.0"}]},
+        lambda p: {**p, "perf_counters": {"groups": 1.5}},
+    ],
+    ids=[
+        "pickle", "not-object", "missing-key", "extra-records",
+        "string-worker", "huge-number", "int-bool", "string-latency",
+        "float-counter",
+    ],
+)
+def test_malformed_outcome_payload_is_a_value_error(pipeline, mangle):
+    """The dispatcher trusts no outcome: each malformed shape raises
+    ``ValueError``, the error the fabric requeues a part on."""
+    group = GateGroup(gates=[Gate("cx", (0, 1))])
+    tasks = [GroupTask(group=group, seed_tag=seed_tag_for(group))]
+    payload = run_part_payload(
+        encode_part(engine_spec(pipeline.engine), 0, tasks)
+    )
+    assert decode_outcome(payload, len(tasks)).records[0].iterations > 0
+    with pytest.raises(ValueError):
+        decode_outcome(mangle(payload), len(tasks))
+
+
+def test_malformed_pulse_in_an_outcome_is_a_value_error():
+    """Pulse amplitudes must be a matrix of numbers and labels strings."""
+    engine = GrapeEngine(
+        PipelineConfig().physics, PipelineConfig().run.fast()
+    )
+    group = GateGroup(gates=[Gate("x", (0,))])
+    tasks = [GroupTask(group=group, seed_tag=seed_tag_for(group))]
+    payload = run_part_payload(encode_part(engine_spec(engine), 0, tasks))
+    pulse = payload["records"][0]["pulse"]
+    decode_outcome(payload, 1)
+    for bad in (
+        {**pulse, "amplitudes": [[0.1, "0.2"]]},
+        {**pulse, "amplitudes": [[0.1], [0.2, 0.3]]},
+        {**pulse, "amplitudes": [0.1, 0.2]},
+        {**pulse, "control_labels": [1, 2]},
+        {k: v for k, v in pulse.items() if k != "dt"},
+    ):
+        record = {**payload["records"][0], "pulse": bad}
+        with pytest.raises(ValueError):
+            decode_outcome({**payload, "records": [record]}, 1)
 
 
 def test_seed_tags_are_positional_free(plan):

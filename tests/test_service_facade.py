@@ -190,6 +190,49 @@ def test_engine_fingerprint_guards_store(tmp_path):
     assert warm.n_compiled == 0
 
 
+def test_engine_fingerprint_covers_every_engine_field(tmp_path):
+    """The default engines keep their stamps byte for byte, so existing
+    stores still open; an engine that differs only in a latency-estimator,
+    iteration-model or run-budget field gets its own stamp, so a store the
+    default filled refuses it."""
+    from dataclasses import replace
+
+    from repro.core.engines import IterationModel, ModelEngine
+    from repro.qoc.estimator import LatencyEstimator
+    from repro.service.service import engine_fingerprint
+    from repro.service.store import StoreVersionError
+
+    config = PipelineConfig(policy_name="map2b4l")
+    physics = config.physics
+    assert (
+        engine_fingerprint(ModelEngine(physics))
+        == "model;dt=2;drive=0.188496;coupling=0.0251327"
+    )
+    fast = GrapeEngine(physics, config.run.fast())
+    assert engine_fingerprint(fast) == (
+        "grape;dt=2;drive=0.188496;coupling=0.0251327;"
+        "tol=0.0001;iters=120;probes=8;seed=20200301"
+    )
+    offset = ModelEngine(physics, LatencyEstimator(physics, offset_2q=5.0))
+    variants = [
+        offset,
+        ModelEngine(physics, iteration_model=IterationModel(base_2q=300.0)),
+        GrapeEngine(physics, replace(config.run.fast(), cold_start_noise=0.2)),
+        GrapeEngine(physics, replace(config.run.fast(), time_budget_s=60.0)),
+    ]
+    stamps = {engine_fingerprint(e) for e in variants}
+    assert len(stamps) == len(variants)
+    assert not stamps & {
+        engine_fingerprint(ModelEngine(physics)), engine_fingerprint(fast)
+    }
+    _service(tmp_path).submit_batch([qft(4)])  # stamped by the default
+    with pytest.raises(StoreVersionError):
+        CompileService(
+            PulseStore(str(tmp_path / "s")), config, engine=offset,
+            backend="serial",
+        )
+
+
 def test_multi_writer_manifest_merge(tmp_path):
     """Two store instances on one directory: a flush from one must not drop
     the other's persisted entries (append-only merge semantics)."""

@@ -356,10 +356,17 @@ def test_stats_probe_round_trip(inprocess_port):
     assert stats["ok"] and "store" in stats and "served_requests" in stats
 
 
-def test_open_loop_driver_against_live_server(inprocess_port):
+@pytest.mark.parametrize(
+    "arrival",
+    [
+        dict(arrival="poisson", rate_rps=8.0),
+        dict(arrival="burst", burst_size=3, burst_gap_s=0.1),
+    ],
+    ids=["poisson", "burst"],
+)
+def test_open_loop_driver_against_live_server(inprocess_port, arrival):
     scenario = Scenario(
-        name="poi", mix="qft-small", arrival="poisson", clients=2,
-        rate_rps=8.0, duration_s=2.0,
+        name="drive", mix="qft-small", clients=2, duration_s=2.0, **arrival
     )
     result = drive("127.0.0.1", inprocess_port, scenario)
     assert result.requests > 0

@@ -8,18 +8,23 @@ disconnect reassigns its part; a fingerprint mismatch is refused loudly
 across the wire.
 """
 
+import ast
+import base64
 import json
+import os
+import pickle
 import socket
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.circuits.gates import Gate
 from repro.core.cache import LibraryEntry, entry_to_dict
-from repro.core.engines import GrapeEngine, ModelEngine
+from repro.core.engines import GrapeEngine, ModelEngine, engine_spec
 from repro.grouping.group import GateGroup
 from repro.qoc.pulse import Pulse
 from repro.service import (
@@ -35,7 +40,13 @@ from repro.service import (
     parse_route,
     worker_loop,
 )
-from repro.service.remote import _pack, parse_route_params, retry_from_params
+from repro.service.executor import (
+    GroupTask,
+    decode_outcome,
+    encode_part,
+    seed_tag_for,
+)
+from repro.service.remote import parse_route_params, retry_from_params
 from repro.service.sharding import shard_of
 from repro.service.store import key_digest
 from repro.utils.config import PipelineConfig
@@ -1141,13 +1152,25 @@ def test_remote_store_bit_identical_over_consecutive_batches(
     assert _stored_pulses(served) == _stored_pulses(local.store)
 
 
+def _pickle_that_makes(path) -> str:
+    """A base64 pickle, the fabric's old frame, whose unpickling would
+    create the directory ``path``: a peer's code running on our side."""
+
+    class MakesDirectory:
+        def __reduce__(self):
+            return (os.mkdir, (str(path),))
+
+    return base64.b64encode(pickle.dumps(MakesDirectory())).decode("ascii")
+
+
 def test_fabric_requeues_a_part_whose_outcome_payload_is_no_outcome(
     tmp_path, config
 ):
-    """A worker reply with no ``payload``, or with one that decodes to
-    something other than a PartOutcome, is a wire failure: the part is
-    requeued first, then the worker retires, and the batch stores the
-    serial run's pulses. Both replies used to kill the handler thread."""
+    """A worker reply with no ``payload``, with one that is no outcome, or
+    with a base64 pickle is a wire failure: the part is requeued first,
+    then the worker retires, and the batch stores the serial run's
+    pulses. The first two used to kill the handler thread; the pickle used
+    to be unpickled, running the peer's call."""
     def service_on(store, backend):
         return CompileService(
             store,
@@ -1160,9 +1183,11 @@ def test_fabric_requeues_a_part_whose_outcome_payload_is_no_outcome(
     reference = service_on(PulseStore(str(tmp_path / "ref")), "serial")
     reference.submit_batch([qft(4)])
     executor = RemoteExecutor(wait_workers_s=10.0)
+    unpickled = tmp_path / "unpickled"
     replies = [
         {"op": "outcome", "job": 0},
-        {"op": "outcome", "job": 0, "payload": _pack({"not": "an outcome"})},
+        {"op": "outcome", "job": 0, "payload": {"not": "an outcome"}},
+        {"op": "outcome", "job": 0, "payload": _pickle_that_makes(unpickled)},
     ]
 
     def bad_worker(reply):
@@ -1182,7 +1207,10 @@ def test_fabric_requeues_a_part_whose_outcome_payload_is_no_outcome(
     for worker in workers:
         worker.start()
     deadline = time.monotonic() + 10
-    while executor.live_workers() < 2 and time.monotonic() < deadline:
+    while (
+        executor.live_workers() < len(replies)
+        and time.monotonic() < deadline
+    ):
         time.sleep(0.01)
     service = service_on(PulseStore(str(tmp_path / "fabric")), executor)
     try:
@@ -1191,7 +1219,94 @@ def test_fabric_requeues_a_part_whose_outcome_payload_is_no_outcome(
         executor.close()
     for worker in workers:
         worker.join(timeout=10)
-    assert executor.n_reassigned == 2
+    assert not unpickled.exists()
+    assert executor.n_reassigned == len(replies)
     assert executor.n_local_fallback >= 1
     assert batch.n_compiled > 0
     assert _stored_pulses(service.store) == _stored_pulses(reference.store)
+
+
+def test_worker_answers_a_pickled_part_with_an_error_and_serves_on(tmp_path):
+    """``repro worker`` never unpickles a part: a base64 pickle is answered
+    with ``error`` without running the peer's call, and the next, valid
+    part still gets its outcome."""
+    unpickled = tmp_path / "unpickled"
+    engine = ModelEngine()
+    group = GateGroup(gates=[Gate("cx", (0, 1)), Gate("rz", (1,), (0.3,))])
+    tasks = [GroupTask(group=group, seed_tag=seed_tag_for(group))]
+    parts = [
+        _pickle_that_makes(unpickled),
+        encode_part(engine_spec(engine), 0, tasks),
+    ]
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    port = listener.getsockname()[1]
+    replies = []
+
+    def fake_fabric():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            stream.readline()  # the worker's hello
+            for job, payload in enumerate(parts):
+                frame = {"op": "part", "job": job, "payload": payload}
+                stream.write((json.dumps(frame) + "\n").encode())
+                stream.flush()
+                replies.append(json.loads(stream.readline()))
+            stream.write(b'{"op": "close"}\n')
+            stream.flush()
+            stream.readline()  # until the worker hangs up
+
+    thread = threading.Thread(target=fake_fabric, daemon=True)
+    thread.start()
+    try:
+        assert worker_loop(f"remote://127.0.0.1:{port}") == len(parts)
+    finally:
+        listener.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not unpickled.exists()
+    assert [reply["op"] for reply in replies] == ["error", "outcome"]
+    assert [reply["job"] for reply in replies] == [0, 1]
+    outcome = decode_outcome(replies[1]["payload"], len(tasks))
+    assert outcome.records == [engine.compile_group(group)]
+
+
+def test_no_service_module_imports_pickle():
+    """Nothing under ``repro.service`` can unpickle bytes: no module there
+    imports ``pickle`` (``ProcessBackend``'s pool pickles by itself, to
+    its own children only)."""
+    import repro.service
+
+    offenders = []
+    for path in sorted(Path(repro.service.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("pickle", "_pickle") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_map_parts_refuses_an_engine_with_no_spec_before_queueing():
+    """Only exact GrapeEngine/ModelEngine instances cross the fabric: a
+    subclass is refused with TypeError and nothing is queued."""
+
+    class CustomEngine(ModelEngine):
+        pass
+
+    group = GateGroup(gates=[Gate("h", (0,))])
+    parts = [(0, [GroupTask(group=group, seed_tag=seed_tag_for(group))])]
+    executor = RemoteExecutor(wait_workers_s=0.1)
+    try:
+        with pytest.raises(TypeError, match="CustomEngine"):
+            executor.map_parts(CustomEngine(), parts)
+        stats = executor.stats()
+    finally:
+        executor.close()
+    assert stats["parts_queued"] == 0 and stats["n_dispatched"] == 0
+    assert executor.n_local_fallback == 0
