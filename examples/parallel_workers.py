@@ -5,8 +5,10 @@ of its parent, so the tree can be cut into balanced connected parts — one
 per worker. The weight model (cold iterations at the roots, warm-ratio-
 scaled iterations along tree edges) and the min-max tree cut now live in the
 library (`repro.core.partition`, `repro.service.planner`); this example just
-drives them, then actually executes the 4-worker plan on the thread-pool
-executor.
+drives them, then actually executes the 4-worker plan. This example's
+engine is the model engine, and a model-engine batch always runs in the
+calling thread; with a GrapeEngine the same call fans the tasks out over a
+pool of 4 worker processes.
 
 Run:  python examples/parallel_workers.py
 """
@@ -52,20 +54,21 @@ def main() -> None:
         [round(p.weight, 1) for p in plan.worker_plans],
     )
 
-    # Execute the plan for real on the thread pool; worker k's solve time
-    # lands in the perf counters as execute.worker<k>.*.
+    # Execute the plan for real; part k's solve time lands in the perf
+    # counters as execute.worker<k>.*, whichever process ran it.
     from repro.perf.instrument import PerfRecorder
 
     perf = PerfRecorder()
-    executor = WorkerPoolExecutor(
-        acc.engine, backend="thread", n_workers=4, perf=perf
-    )
-    records = executor.run(plan, empty)
+    with WorkerPoolExecutor(
+        acc.engine, backend="process", n_workers=4, perf=perf
+    ) as executor:
+        records = executor.run(plan, empty)
     print(
-        f"\nexecuted on 4 thread workers: {len(records)} groups, "
+        f"\nexecuted the 4-part plan (model engine, in the calling thread): "
+        f"{len(records)} groups, "
         f"{sum(r.iterations for r in records)} modelled iterations"
     )
-    print(perf.report("qft_16 / 4 thread workers").format_table())
+    print(perf.report("qft_16 / 4 parts, model engine inline").format_table())
 
 
 if __name__ == "__main__":

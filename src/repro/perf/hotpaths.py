@@ -126,13 +126,17 @@ def service_report() -> PerfReport:
         store_perf = PerfRecorder()
         store = open_store(os.path.join(root, "s"), shards=2, perf=store_perf)
         service = CompileService(store, backend="thread", n_workers=2)
-        batch = service.submit_batch([qft(4), qft(5)])
+        try:
+            batch = service.submit_batch([qft(4), qft(5)])
+        finally:
+            service.close()
         report = batch.perf or PerfReport(label="service (no perf recorded)")
         merged = PerfRecorder()
         merged.merge_report(report)
         merged.merge_report(store_perf.report())
         return merged.report(
-            "service batch: qft_4 + qft_5, 2 thread workers, 2 store shards"
+            "service batch: qft_4 + qft_5, 2 parts, model engine solved "
+            "in the calling thread, 2 store shards"
         )
 
 

@@ -94,22 +94,20 @@ once, at claim time, means:
 * on a store bounded below one batch's unique groups, answers match an
   unbounded store's, but coverage and eviction counts can differ.
 
-Thread vs process backends
---------------------------
-Both implement one interface (``map_parts``), mirroring the
-``GrapeEngine``/``ModelEngine`` split — pick per deployment:
+Local backends
+--------------
+Two, behind one interface (``map_parts``):
 
-* ``thread`` (default): zero serialization cost, shared engine caches,
-  but no parallel GRAPE. A cost/gradient evaluation of these small
-  problems is bound by numpy call overhead and holds the GIL: twelve
-  random 2-qubit solves took no less time on 2 threads than serially,
-  and about 40% less on 2 processes (numbers in ``executor``'s module
-  docstring). ROADMAP item 1 chooses the default by measurement.
-* ``process``: true parallelism regardless of the GIL, at the cost of
-  pickling the engine and groups per part and ~100 ms of pool startup —
-  the right choice for long solves (real GRAPE at scale). Single-part
-  plans short-circuit to the serial path to skip the startup tax.
-* ``serial``: deterministic debugging baseline.
+* ``thread`` (default) and ``process`` both name one persistent pool of
+  forked worker processes per service, so GRAPE solves run in parallel.
+  A cost/gradient evaluation of these small problems is bound by numpy
+  call overhead and holds the GIL, so threads could not overlap them
+  (numbers in ``executor``'s module docstring). The pool is forked by
+  the first batch that can use it and released by
+  ``CompileService.close()``. A ``ModelEngine`` batch, whose solves take
+  microseconds, and a batch with fewer than two jobs stay in the calling
+  thread.
+* ``serial``: the deterministic oracle the pool must match.
 
 Warm starts default to ``warm="store"``: every group is seeded from the
 store snapshot a batch takes before its solves, which makes pulse content
@@ -322,9 +320,8 @@ from repro.service.loadgen import (
 )
 from repro.service.executor import (
     GroupCoalescer,
-    ProcessBackend,
+    PoolBackend,
     SerialBackend,
-    ThreadBackend,
     WorkerPoolExecutor,
     make_backend,
 )
@@ -375,7 +372,7 @@ __all__ = [
     "RunTable",
     "SCENARIOS",
     "Scenario",
-    "ProcessBackend",
+    "PoolBackend",
     "PulseStore",
     "QuorumError",
     "RemoteExecutor",
@@ -391,7 +388,6 @@ __all__ = [
     "StoreServer",
     "StoreStats",
     "StoreVersionError",
-    "ThreadBackend",
     "WorkerPlan",
     "WorkerPoolExecutor",
     "WorkerSlot",

@@ -78,6 +78,7 @@ from repro.service.protocol import (
     encode,
     error_response,
     overloaded_response,
+    parse_json_line,
     parse_request,
     request_circuit,
     response_for,
@@ -116,7 +117,7 @@ class _Client:
 def _salvage_request_id(line: str) -> str:
     """The ``id`` of a rejected line, when the JSON was readable enough."""
     try:
-        raw = json.loads(line)
+        raw = parse_json_line(line)
     except ValueError:
         return ""
     if isinstance(raw, dict) and raw.get("id"):
@@ -462,9 +463,12 @@ class AsyncCompileServer:
                 pass
             self._batcher = None
         self._pool.shutdown(wait=True)
-        # Persist read-recency bumps so a bounded store's LRU order
-        # reflects this session's traffic after restart.
-        self.service.store.flush()
+        try:
+            # Persist read-recency bumps so a bounded store's LRU order
+            # reflects this session's traffic after restart.
+            self.service.store.flush()
+        finally:
+            self.service.close()  # its worker processes exit with the server
 
     # ------------------------------------------------------------ frontends
     async def handle_connection(

@@ -1,21 +1,53 @@
 """Worker-pool execution of a batch plan, plus in-flight coalescing.
 
-Three local backends behind one interface (mirroring the ``GrapeEngine`` /
-``ModelEngine`` split): ``serial`` runs parts in the calling thread,
-``thread`` uses a ``ThreadPoolExecutor``, ``process`` uses a
-``ProcessPoolExecutor`` (module-level worker function; the engine, tasks
-and records travel by pickle). ``ProcessBackend`` is the only pickling
-path in ``repro.service``, and its bytes go only to and from the pool's
-own child processes.
+Two local backends behind one interface: ``serial`` runs parts one after
+another in the calling thread, and is the oracle every other path must
+match; :class:`PoolBackend` (``"thread"`` and ``"process"`` both name it)
+is one persistent pool of worker processes per owner, forked by the first
+batch that has two or more jobs for it, reused by every later batch and
+released by ``close()``. Inside the pool a part whose tasks have no chain
+parent (every store-mode part) is split into single tasks, dispatched
+heaviest first by their modelled weight; a chain-mode part stays whole.
+Each part's records are put back together, so callers see one
+:class:`PartOutcome` per part whatever ran where. Tasks, engines and
+records travel by pickle, only to and from the pool's own children.
 
-Threads do not overlap GRAPE solves. For these 2- and 4-dimensional
-problems a cost/gradient evaluation is bound by numpy call overhead, not by
-BLAS, so it holds the GIL. On a 2-vCPU box with OpenBLAS at 1 thread,
-twelve solves of random 2-qubit targets (24 slices, a 300-iteration
-budget, 3,196 iterations in all) took, over six rounds, 1.5–2.4 s
-serially (median 2.3), 2.1–3.3 s on 2 threads (median 2.8) and 1.3–1.4 s
-on 2 processes. ROADMAP item 1 chooses the default backend by
-measurement.
+Why processes. For these 2- and 4-dimensional problems a GRAPE cost and
+gradient evaluation is bound by numpy call overhead, not by BLAS, so it
+holds the GIL and threads cannot overlap solves. On a 2-vCPU box with
+OpenBLAS at 1 thread, twelve solves of random 2-qubit targets (24
+slices, a 300-iteration budget, 3,196 iterations in all) took 1.5–2.4 s
+serially (median 2.3 over six rounds), 2.1–3.3 s on 2 threads (median
+2.8) and 1.3–1.4 s on 2 processes. accbench's cold pass (12 programs, one
+batch each, 12,123 iterations, 2 workers) took, over two rounds on the
+same box, 6.0–6.7 s serially, 6.8–7.1 s on the thread backend this pool
+replaced (8.3–8.8 s of CPU) and 4.0–4.3 s on the pool (6.6–7.1 s of CPU,
+workers included); every run wrote the same store.
+
+Why ``fork``. Starting a 2-worker pool with ``repro`` loaded and running
+one call on each worker took 11–12 ms with ``fork``, against 0.68–1.04
+s with ``forkserver`` and 0.71–0.76 s with ``spawn``, which re-import
+numpy and scipy in every child; ``forkserver`` also leaves its server
+and resource-tracker processes running after the interpreter exits. A
+forked child inherits the parent's memory, so the pool guards
+what that brings along: each worker ignores SIGINT (the parent's graceful
+drain finishes the batch), restores the default SIGTERM, swaps every
+inherited socket for ``/dev/null`` (so a closed connection still reaches
+its peer as EOF, and a listener is not held open), and pins OpenBLAS to
+one thread whatever the parent was started with. A child also gets fresh
+standard streams at fork, because another thread of the parent may hold
+the lock of one (a reader blocked on stdin does), and ``multiprocessing``
+closes stdin as a child starts.
+
+Why a ``ModelEngine`` batch stays inline. Its solves are closed-form and
+take microseconds; a pool round trip (pickle, pipe, unpickle, and back)
+costs more than the solve, so a batch of them, subclasses included, runs
+in the calling thread on any backend. So does a batch with fewer than two
+jobs, which a pool cannot overlap.
+
+A worker that dies mid-batch (a SIGKILL, the OOM killer) breaks the pool:
+the batch fails with ``BrokenProcessPool``, the service releases its
+claims, and the next batch forks a fresh pool.
 
 The same ``map_parts`` seam also crosses hosts:
 :class:`repro.service.remote.RemoteExecutor` dispatches the parts to
@@ -39,8 +71,8 @@ start keyed by the group's canonical key. Pulse content is then a pure
 function of (group, snapshot, run config): independent of the partition,
 the worker count, and the rest of the batch. That invariant is what keeps
 a content-addressed store coherent — the same key stores the same pulse no
-matter which batch compiled it first — and it is what the throughput
-bench's bit-identity assertion checks.
+matter which batch compiled it first — and it is what lets the pool split
+store-mode parts into single tasks.
 
 ``warm="chain"`` (paper Sec V-D semantics): within a part, each group warm
 starts from its MST parent's freshly compiled pulse; a cut edge is a "soft
@@ -52,17 +84,24 @@ experiments, not for populating a shared store.
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import os
+import signal
+import stat
+import sys
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cache import PulseLibrary, group_from_dict, group_to_dict
 from repro.core.dynamic import Seed, best_library_seeds, compile_in_order
-from repro.core.engines import CompileRecord, engine_from_spec
+from repro.core.engines import CompileRecord, ModelEngine, engine_from_spec
 from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.qoc.pulse import Pulse
@@ -81,6 +120,9 @@ class GroupTask:
     parent_local: Optional[int] = None  # chain mode: index within the part
     seed_pulse: Optional[Pulse] = None  # store-snapshot warm seed
     seed_source: Optional[GateGroup] = None
+    # Modelled iterations (the planner's node weight): the local pool's
+    # dispatch order. It does not cross the fabric.
+    weight: float = 1.0
 
 
 @dataclass
@@ -310,37 +352,65 @@ class SerialBackend:
         ]
 
 
-class ThreadBackend:
-    """One OS thread per part. GRAPE solves hold the GIL, so threads do
-    not run them in parallel (measured in the module docstring)."""
+class _Job(NamedTuple):
+    """What one pool submission runs: some tasks of one part."""
 
-    name = "thread"
-
-    def __init__(self, n_workers: int):
-        self.n_workers = max(1, int(n_workers))
-
-    def map_parts(
-        self,
-        engine,
-        parts: Sequence[Tuple[int, List[GroupTask]]],
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[PartOutcome]:
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [
-                pool.submit(run_part, engine, worker, tasks, time.perf_counter())
-                for worker, tasks in parts
-            ]
-            return [f.result() for f in futures]
+    part: int  # index into the batch's parts
+    local: List[int]  # the tasks' positions within their part
+    weight: float
 
 
-class ProcessBackend:
-    """One OS process per part; payloads and records travel by pickle to
-    and from the pool's own children."""
+def _pool_jobs(parts: Sequence[Tuple[int, List[GroupTask]]]) -> List[_Job]:
+    """One job per task of a part without chain parents; a chain-mode part
+    is one job, because a child needs its parent's fresh pulse."""
+    jobs: List[_Job] = []
+    for index, (_, tasks) in enumerate(parts):
+        if all(task.parent_local is None for task in tasks):
+            jobs += [_Job(index, [i], task.weight) for i, task in enumerate(tasks)]
+        elif tasks:
+            jobs.append(
+                _Job(index, list(range(len(tasks))), sum(t.weight for t in tasks))
+            )
+    return jobs
+
+
+def _merge(worker: int, pieces: List[PartOutcome]) -> PartOutcome:
+    """One part's outcome from its jobs' outcomes, in task order: the part
+    worked for the sum of their walls and started at the earliest one."""
+    stages: Dict[str, float] = {}
+    counters: Dict[str, int] = {}
+    for piece in pieces:
+        for name, seconds in piece.perf_stages.items():
+            stages[name] = stages.get(name, 0.0) + seconds
+        for name, value in piece.perf_counters.items():
+            counters[name] = counters.get(name, 0) + value
+    return PartOutcome(
+        worker=worker,
+        records=[record for piece in pieces for record in piece.records],
+        wall_s=sum(piece.wall_s for piece in pieces),
+        perf_stages=stages,
+        perf_counters=counters,
+        queue_wait_s=min((piece.queue_wait_s for piece in pieces), default=0.0),
+    )
+
+
+class PoolBackend:
+    """One persistent pool of ``n_workers`` forked worker processes.
+
+    The pool is forked by the first batch with two or more jobs for it
+    and serves every later batch; :meth:`close` shuts it down, and a batch
+    after that forks a new one. A batch on a ``ModelEngine`` (subclasses
+    included) or with fewer than two jobs runs in the calling thread. A
+    worker that dies mid-batch fails the batch with ``BrokenProcessPool``
+    and the broken pool is dropped, so the next batch forks afresh.
+    """
 
     name = "process"
 
     def __init__(self, n_workers: int):
         self.n_workers = max(1, int(n_workers))
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     def map_parts(
         self,
@@ -348,20 +418,154 @@ class ProcessBackend:
         parts: Sequence[Tuple[int, List[GroupTask]]],
         weights: Optional[Sequence[float]] = None,
     ) -> List[PartOutcome]:
-        if len(parts) <= 1:  # don't pay process startup for a serial plan
+        jobs = _pool_jobs(parts)
+        if isinstance(engine, ModelEngine) or len(jobs) < 2:
             return SerialBackend().map_parts(engine, parts)
-        with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [
-                pool.submit(run_part, engine, worker, tasks, time.perf_counter())
-                for worker, tasks in parts
-            ]
-            return [f.result() for f in futures]
+        jobs.sort(key=lambda job: -job.weight)  # heaviest first
+        pool = self._forked()
+        futures = []
+        try:
+            for job in jobs:
+                worker, tasks = parts[job.part]
+                futures.append(
+                    pool.submit(
+                        run_part,
+                        engine,
+                        worker,
+                        [tasks[i] for i in job.local],
+                        time.perf_counter(),
+                    )
+                )
+            done = [future.result() for future in futures]
+        except BrokenProcessPool:
+            self._drop(pool)
+            raise
+        finally:
+            for future in futures:
+                future.cancel()  # a failed batch leaves nothing queued
+        pieces: List[Dict[int, PartOutcome]] = [{} for _ in parts]
+        for job, outcome in zip(jobs, done):
+            pieces[job.part][job.local[0]] = outcome
+        return [
+            _merge(worker, [piece[i] for i in sorted(piece)])
+            for (worker, _), piece in zip(parts, pieces)
+        ]
+
+    def close(self) -> None:
+        """Shut the pool down and reap its workers."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _forked(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._pool is None:
+                _fresh_streams_after_fork()
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.n_workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_worker_start,
+                )
+            return self._pool
+
+    def _drop(self, pool: ProcessPoolExecutor) -> None:
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=True)  # reaps what the breakage left
+
+
+_inherited_streams: List = []  # a child's old std streams, never finalized
+_after_fork_registered = False
+
+
+def _fresh_streams_after_fork() -> None:
+    """From now on, a child forked from this process gets new standard
+    streams: another thread may hold the lock of an inherited one (a
+    reader blocked on stdin does), and ``multiprocessing`` closes stdin as
+    a child starts, so the old objects are kept but never touched."""
+    global _after_fork_registered
+    if not _after_fork_registered:
+        os.register_at_fork(after_in_child=_fresh_streams)
+        _after_fork_registered = True
+
+
+def _fresh_streams() -> None:
+    _inherited_streams.append((sys.stdin, sys.stdout, sys.stderr))
+    sys.stdin = open(os.devnull)
+    for name, fd in (("stdout", 1), ("stderr", 2)):
+        try:
+            stream = open(fd, "w", buffering=1, closefd=False)
+        except OSError:
+            stream = open(os.devnull, "w")
+        setattr(sys, name, stream)
+
+
+def _worker_start() -> None:
+    """Start-up of each pool worker, in the child right after fork."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent drains
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)  # the parent's event loop, not ours
+    _release_inherited_sockets()
+    _one_blas_thread()
+
+
+def _release_inherited_sockets() -> None:
+    """Point every inherited socket descriptor at ``/dev/null``: the
+    parent's connections then close when the parent closes them, and its
+    listeners stop when it stops. The numbers stay taken, so a stale
+    socket object's finalizer cannot close something else."""
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir("/dev/fd"):
+            try:
+                if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+                    os.dup2(devnull, int(name))
+            except OSError:
+                pass  # the listing's own descriptor, already closed
+    except OSError:
+        pass  # no /dev/fd on this platform
+    finally:
+        os.close(devnull)
+
+
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """One thread for every OpenBLAS this process has loaded (numpy and
+    scipy each bundle one). Otherwise each worker would start as many BLAS
+    threads as the parent was allowed, and the workers' threads would
+    contend for the same cores."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return  # no /proc: leave BLAS as it is
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
 
 
 def make_backend(spec, n_workers: int):
     """'serial' | 'thread' | 'process' | an object with ``map_parts``.
 
-    A remote fabric is passed as the object itself (one long-lived
+    ``"thread"`` and ``"process"`` both make a :class:`PoolBackend`; the
+    caller owns it and closes it. A remote fabric is passed as the object
+    itself (one long-lived
     :class:`~repro.service.remote.RemoteExecutor` serves every batch — a
     string spec here would leak a fresh listener per batch).
     """
@@ -369,10 +573,8 @@ def make_backend(spec, n_workers: int):
         return spec
     if spec == "serial":
         return SerialBackend()
-    if spec == "thread":
-        return ThreadBackend(n_workers)
-    if spec == "process":
-        return ProcessBackend(n_workers)
+    if spec in ("thread", "process"):
+        return PoolBackend(n_workers)
     raise ValueError(
         f"unknown backend {spec!r}; have serial/thread/process, or pass "
         f"an object with map_parts (e.g. a RemoteExecutor)"
@@ -385,7 +587,10 @@ class WorkerPoolExecutor:
 
     Returns records aligned with ``plan.uncovered``; wires per-worker wall
     clock, solve time, and iteration counts into the supplied
-    :class:`PerfRecorder` under ``execute.worker<k>.*`` names.
+    :class:`PerfRecorder` under ``execute.worker<k>.*`` names. A backend
+    made here from a spec string is this executor's to release with
+    :meth:`close` (or a ``with`` block); a backend object passed in is
+    left to its owner.
     """
 
     def __init__(
@@ -403,10 +608,23 @@ class WorkerPoolExecutor:
         self.engine = engine
         self.n_workers = max(1, int(n_workers))
         self.backend = make_backend(backend, self.n_workers)
+        self._owns_backend = self.backend is not backend
         self.similarity = similarity
         self.warm = warm
         self.seed_threshold = seed_threshold
         self.perf = recorder_or_null(perf)
+
+    def close(self) -> None:
+        """Release the worker pool this executor made, if it made one."""
+        close = getattr(self.backend, "close", None)
+        if self._owns_backend and close is not None:
+            close()
+
+    def __enter__(self) -> "WorkerPoolExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(
         self, plan: BatchPlan, snapshot: PulseLibrary
@@ -433,8 +651,8 @@ class WorkerPoolExecutor:
         part_weights: List[float] = []
         index_map: List[List[int]] = []
         with self.perf.stage("execute.seed"):
-            # Heaviest parts first (LPT): the pool drains submissions in
-            # order, and this is the schedule BatchPlan.makespan models.
+            # Heaviest parts first (LPT), the schedule BatchPlan.makespan
+            # models; the local pool re-sorts store-mode tasks by weight.
             ordered = sorted(plan.worker_plans, key=lambda p: -p.weight)
             part_indices: List[Tuple[int, List[int]]] = []
             chain_parent: Dict[int, Optional[int]] = {}
@@ -461,13 +679,11 @@ class WorkerPoolExecutor:
             for worker, indices in part_indices:
                 tasks = self._tasks_for_part(plan, indices, chain_parent, seeds)
                 parts.append((worker, tasks))
-                part_weights.append(
-                    sum(plan.weights.get(v, 1.0) for v in indices)
-                )
+                part_weights.append(sum(task.weight for task in tasks))
                 index_map.append(indices)
         with self.perf.stage("execute.solve"):
             # Modelled part weights: the remote fabric's EWMA placement
-            # schedules by them; the local pools ignore them.
+            # schedules by them; the local pool orders by task weights.
             outcomes = self.backend.map_parts(
                 self.engine, parts, weights=part_weights
             )
@@ -529,6 +745,7 @@ class WorkerPoolExecutor:
                     parent_local=parent_local,
                     seed_pulse=seed_pulse,
                     seed_source=seed_source,
+                    weight=plan.weights.get(vertex, 1.0),
                 )
             )
         return tasks

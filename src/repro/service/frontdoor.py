@@ -152,7 +152,11 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
              "the listening address is announced as a JSON line)",
     )
     parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="thread"
+        "--backend", choices=("serial", "thread", "process"), default="thread",
+        help="thread and process both solve GRAPE batches on one pool of "
+             "worker processes, forked by the first batch that can use it; "
+             "serial solves in the calling thread (model-engine batches "
+             "always do)",
     )
     parser.add_argument(
         "--worker-host", default="127.0.0.1",
@@ -762,6 +766,8 @@ def cmd_batch(argv: Sequence[str]) -> int:
         # is exactly what w=majority/all asked to forbid.
         print(f"repro batch: quorum failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        service.close()  # the worker processes exit before the report
     try:
         # A batch that read without writing left its recency bumps in the
         # store's memory: persist them before this process exits, so a

@@ -86,8 +86,11 @@ class BatchPlan:
 
         The tree cut can produce more parts than workers (one part per MST
         root at minimum), so the makespan is a longest-processing-time
-        assignment of part weights onto the pool, which is exactly how the
-        executor's pool drains the parts.
+        assignment of part weights onto the workers: how the remote fabric,
+        and the local pool in chain mode, drain whole parts. In store mode
+        the local pool no longer drains whole parts. It splits them into
+        single tasks, heaviest first, so its batches can finish under this
+        bound; :attr:`modelled_speedup` keeps the part formula.
         """
         if not self.worker_plans:
             return 0.0

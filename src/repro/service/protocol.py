@@ -102,10 +102,22 @@ def resolve_program(name: str) -> Circuit:
     )
 
 
+def parse_json_line(line):
+    """``json.loads`` for one line off a wire. Nesting deeper than the
+    parser's recursion limit (``json.loads`` raises ``RecursionError``
+    from about 1,000 ``[``) raises ``ValueError``, like any other
+    malformed line, so every JSON-lines reader in ``repro.service``
+    refuses it the way it refuses bad JSON."""
+    try:
+        return json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def parse_request(line: str) -> CompileRequest:
     try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+        raw = parse_json_line(line)
+    except ValueError as exc:
         raise ProtocolError(f"bad JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProtocolError("request must be a JSON object")

@@ -99,6 +99,7 @@ from repro.service.executor import (
     run_part,
     run_part_payload,
 )
+from repro.service.protocol import parse_json_line
 from repro.service.scheduler import (
     CLOSE_FABRIC,
     FabricScheduler,
@@ -437,7 +438,7 @@ class RemoteStore(StoreBackend):
         reply = self._stream.readline()
         if not reply:
             raise ConnectionError("store server closed the connection")
-        return json.loads(reply)
+        return parse_json_line(reply)
 
     def _rpc(self, payload: Dict, stage: str = "rpc") -> Dict:
         """One request/response under the client's :class:`RetryPolicy`.
@@ -859,7 +860,7 @@ class RemoteExecutor:
         try:
             stream = conn.makefile("rwb")
             hello = stream.readline()
-            first = json.loads(hello) if hello else None
+            first = parse_json_line(hello) if hello else None
             first_op = first.get("op") if isinstance(first, dict) else None
             if first_op == "stats":
                 stream.write(
@@ -907,7 +908,7 @@ class RemoteExecutor:
                     reply = stream.readline()
                     if not reply:
                         raise ConnectionError("worker closed mid-part")
-                    message = json.loads(reply)
+                    message = parse_json_line(reply)
                     if not isinstance(message, dict):
                         raise ValueError("worker reply is not a JSON object")
                     if message.get("op") != "error":
@@ -1034,7 +1035,7 @@ def fabric_stats(spec: str, timeout_s: float = 5.0) -> Dict:
                 reply = stream.readline()
         if not reply:
             raise ConnectionError("fabric closed without answering stats")
-        payload = json.loads(reply)
+        payload = parse_json_line(reply)
     except (OSError, ValueError) as exc:
         raise RemoteUnavailable(
             f"fabric at {host}:{port} unreachable: {exc}"
@@ -1091,7 +1092,7 @@ def worker_loop(
         stream.flush()
         for line in stream:
             try:
-                message = json.loads(line)
+                message = parse_json_line(line)
             except ValueError:
                 continue
             op = message.get("op") if isinstance(message, dict) else None

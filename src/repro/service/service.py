@@ -3,7 +3,8 @@
 ``CompileService`` ties the pieces together: the :class:`AccQOC` front end
 (mapping + grouping, shared with the one-shot pipeline), the
 :class:`CompilePlanner` (batch-wide dedup + shared MST + worker cuts), the
-:class:`WorkerPoolExecutor` (serial / thread / process locally, or a
+:class:`WorkerPoolExecutor` (serial, or one persistent pool of worker
+processes per service, locally; or a
 :class:`~repro.service.remote.RemoteExecutor` fabric of ``repro worker``
 processes), the :class:`GroupCoalescer` (concurrent batches compile a key
 once), and a :class:`StoreBackend` — a local :class:`PulseStore`, a
@@ -23,6 +24,7 @@ program with
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -38,6 +40,7 @@ from repro.qoc.estimator import LatencyEstimator
 from repro.service.executor import (
     GroupCoalescer,
     WorkerPoolExecutor,
+    make_backend,
     seed_tag_for,
 )
 from repro.service.planner import BatchPlan, CompilePlanner
@@ -160,7 +163,14 @@ def _changed_fields(label: str, value, default, stamped=()) -> List[str]:
 
 
 class CompileService:
-    """Long-lived batch compilation service over a persistent pulse store."""
+    """Long-lived batch compilation service over a persistent pulse store.
+
+    A ``backend`` spec string becomes one solve backend on the first batch
+    that solves, kept for every later batch: for ``"thread"`` and
+    ``"process"`` that is a pool of worker processes, forked by the first
+    batch that can use it. :meth:`close` releases it. A backend object
+    (a :class:`~repro.service.remote.RemoteExecutor`) stays the caller's.
+    """
 
     def __init__(
         self,
@@ -179,6 +189,8 @@ class CompileService:
         self.store.claim_fingerprint(engine_fingerprint(self.engine))
         self.n_workers = n_workers if n_workers is not None else self.config.n_workers
         self.backend = backend
+        self._solver = None  # made from a spec string by the first solve
+        self._solver_lock = threading.Lock()
         self.warm = warm
         self.coalescer = GroupCoalescer()
         # A bounded store must not LRU-evict a key some in-flight batch
@@ -186,6 +198,21 @@ class CompileService:
         # Guards compose, so services sharing a store all stay protected.
         self.store.add_eviction_guard(self.coalescer.in_flight_keys)
         self.n_batches = 0
+
+    def close(self) -> None:
+        """Release the worker pool this service made (a later batch forks a
+        new one); a backend object passed in is left open."""
+        with self._solver_lock:
+            solver, self._solver = self._solver, None
+        close = getattr(solver, "close", None)
+        if solver is not self.backend and close is not None:
+            close()
+
+    def _solve_backend(self):
+        with self._solver_lock:
+            if self._solver is None:
+                self._solver = make_backend(self.backend, self.n_workers)
+            return self._solver
 
     # ------------------------------------------------------------- requests
     def handle_request(self, circuit: Circuit) -> Tuple[RequestReport, BatchReport]:
@@ -263,7 +290,7 @@ class CompileService:
             # warm spec must fail the claims too, not strand them.
             executor = WorkerPoolExecutor(
                 self.engine,
-                backend=self.backend,
+                backend=self._solve_backend(),
                 n_workers=self.n_workers,
                 similarity=self.config.similarity,
                 warm=self.warm,

@@ -106,6 +106,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cache import LibraryEntry, entry_from_dict, entry_to_dict
 from repro.perf.instrument import PerfRecorder, recorder_or_null
+from repro.service.protocol import parse_json_line
 from repro.service.store import (
     ENTRIES_DIR,
     StoreBackend,
@@ -134,7 +135,9 @@ def decode_entry(payload: str) -> LibraryEntry:
             f"entry payload must be a base64 string, got "
             f"{type(payload).__name__}"
         )
-    return entry_from_dict(json.loads(base64.b64decode(payload.encode("ascii"))))
+    return entry_from_dict(
+        parse_json_line(base64.b64decode(payload.encode("ascii")))
+    )
 
 
 def digest_keys(keys: Iterable[bytes]) -> str:
@@ -599,7 +602,7 @@ class StoreServer:
     def _respond(self, line: bytes) -> Tuple[Dict, bool]:
         """(response payload, stop server?) for one request line."""
         try:
-            request = json.loads(line)
+            request = parse_json_line(line)
             if not isinstance(request, dict) or "op" not in request:
                 raise ValueError("request must be an object with 'op'")
         except ValueError as exc:

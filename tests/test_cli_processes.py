@@ -8,8 +8,10 @@ bounded. They check what only a real process shows: that a fleet of
 worker`` solves each group once, serves repeats from the store and shuts
 down cleanly with exit 0 everywhere; that ``repro store stats`` prints
 its totals and tables; that a ``repro store serve`` killed between
-batches loses only read recency; and that ``repro dashboard`` exits 0 on
-SIGINT.
+batches loses only read recency; that ``repro dashboard`` exits 0 on
+SIGINT; and that a GRAPE ``repro serve`` forks its pool of worker
+processes while its stdin reader waits, and takes the pool down with it
+on SIGTERM.
 """
 
 import json
@@ -255,3 +257,75 @@ def test_dashboard_exits_zero_on_sigint(tmp_path, spawn):
         assert dash.wait() == 0, dash.log()
     finally:
         server.stop()
+
+
+def _children_of(pid):
+    """Pids whose parent is ``pid``, read from /proc."""
+    children = set()
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                ppid = int(handle.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue  # exited meanwhile
+        if ppid == pid:
+            children.add(int(name))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_grape_serve_reaps_its_pool_on_sigterm(tmp_path, spawn):
+    """``repro serve --engine grape --backend process --workers 2`` forks
+    its two pool workers for the first request, and on SIGTERM drains,
+    prints its final stats, exits 0 and leaves no worker behind, zombies
+    included."""
+    serve = spawn(
+        "serve", "serve", "--store", str(tmp_path / "store"),
+        "--engine", "grape", "--backend", "process", "--workers", "2",
+        "--port", "0",
+    )
+    address = serve.line()["serving"]
+    (reply,) = _ask(address, [{"id": "r1", "name": "qft_3"}])
+    assert reply["ok"] and reply["compiled_groups"] >= 2, reply
+    workers = _children_of(serve.proc.pid)
+    assert len(workers) == 2, serve.log()
+    serve.proc.send_signal(signal.SIGTERM)
+    assert serve.wait() == 0, serve.log()
+    assert serve.line()["final_stats"]["served_requests"] == 1
+    assert not [pid for pid in workers if os.path.exists(f"/proc/{pid}")]
+    # End of stdout: no worker still holds the server's stdout pipe.
+    assert serve.lines.get(timeout=WAIT_S) is None
+    serve.proc.stdout.close()
+
+
+def test_grape_serve_over_stdin_forks_its_pool_while_the_reader_waits(tmp_path):
+    """Over stdin a reader thread sits in ``readline``, holding stdin's
+    lock, when the first GRAPE batch forks the pool. The workers must
+    start anyway (a forked child closes its inherited stdin as it starts,
+    which would wait on that lock forever), answer, and exit with the
+    server when stdin closes."""
+    with open(tmp_path / "serve.log", "w") as log, subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--store",
+         str(tmp_path / "store"), "--engine", "grape", "--workers", "2"],
+        env=ENV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=log, text=True,
+    ) as proc:
+        lines = queue.Queue()
+        threading.Thread(
+            target=lambda: lines.put(proc.stdout.readline()), daemon=True
+        ).start()
+        try:
+            proc.stdin.write(json.dumps({"id": "r1", "name": "qft_3"}) + "\n")
+            proc.stdin.flush()
+            try:
+                reply = json.loads(lines.get(timeout=WAIT_S))
+            except queue.Empty:
+                raise AssertionError((tmp_path / "serve.log").read_text())
+            assert reply["ok"] and reply["compiled_groups"] >= 2, reply
+            proc.stdin.close()
+            assert proc.wait(timeout=WAIT_S) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()

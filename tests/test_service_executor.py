@@ -1,7 +1,12 @@
 """Worker pool executor: backends agree, coalescing, perf wiring, warm modes."""
 
 import json
+import multiprocessing
+import os
+import signal
+import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from repro.core.engines import CompileRecord, GrapeEngine, engine_spec
 from repro.grouping.group import GateGroup
 from repro.core.pipeline import AccQOC
 from repro.perf.instrument import PerfRecorder
+from repro.service import CompileService, PulseStore
 from repro.service.executor import (
     GroupCoalescer,
     GroupTask,
@@ -25,7 +31,7 @@ from repro.service.executor import (
 )
 from repro.service.planner import CompilePlanner
 from repro.utils.config import PipelineConfig
-from repro.workloads import build_named
+from repro.workloads import build_named, qft
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +255,175 @@ def test_run_indices_partial(pipeline, plan):
 def test_make_backend_rejects_unknown():
     with pytest.raises(ValueError):
         make_backend("gpu", 2)
+
+
+# ---------------------------------------------------------- the local pool
+class _SignalsItselfGrape(GrapeEngine):
+    """A GrapeEngine whose first solve in a pool worker sends ``signum`` to
+    that worker. The solve that removes the ``token`` file is the one, so
+    exactly one worker signals itself, once."""
+
+    def __init__(self, signum, token):
+        config = PipelineConfig()
+        super().__init__(config.physics, config.run.fast())
+        self.signum = signum
+        self.token = str(token)
+        self.parent = os.getpid()
+
+    def compile_group(self, *args, **kwargs):
+        if os.getpid() != self.parent:
+            try:
+                os.remove(self.token)
+            except FileNotFoundError:
+                pass
+            else:
+                os.kill(os.getpid(), self.signum)
+        return super().compile_group(*args, **kwargs)
+
+
+def _grape_service(tmp_path, name, engine=None, backend="process", n_workers=2):
+    config = PipelineConfig(policy_name="map2b4l")
+    if engine is None:
+        engine = GrapeEngine(config.physics, config.run.fast())
+    return CompileService(
+        PulseStore(str(tmp_path / name)),
+        config,
+        engine=engine,
+        backend=backend,
+        n_workers=n_workers,
+    )
+
+
+def _stored(service):
+    return {
+        entry.group.key(): (entry.latency, entry.pulse.amplitudes.tobytes())
+        for entry in service.store.snapshot().entries()
+        if entry.pulse is not None
+    }
+
+
+@pytest.fixture(scope="module")
+def serial_qft3(tmp_path_factory):
+    """The serial oracle's store after one qft_3 batch on GRAPE."""
+    service = _grape_service(tmp_path_factory.mktemp("oracle"), "s", backend="serial")
+    service.submit_batch([qft(3)])
+    return _stored(service)
+
+
+def _new_children(before):
+    return set(multiprocessing.active_children()) - before
+
+
+def test_pool_forks_once_per_service_and_close_reaps_it(tmp_path, serial_qft3):
+    """Constructing the service forks nothing; the first GRAPE batch forks
+    two workers, the next batch reuses them, and ``close`` reaps them."""
+    before = set(multiprocessing.active_children())
+    service = _grape_service(tmp_path, "pool", backend="thread")
+    assert not _new_children(before)
+    assert service.submit_batch([qft(3)]).n_compiled >= 2
+    workers = _new_children(before)
+    assert len(workers) == 2
+    assert service.submit_batch([qft(4)]).n_compiled >= 2
+    assert _new_children(before) == workers
+    service.close()
+    assert not _new_children(before)
+    assert [worker.exitcode for worker in workers] == [0, 0]
+    assert {k: v for k, v in _stored(service).items() if k in serial_qft3} == serial_qft3
+
+
+def test_worker_killed_mid_batch_fails_the_batch_and_the_next_forks_afresh(
+    tmp_path, serial_qft3
+):
+    """A SIGKILLed worker breaks the pool: the batch raises
+    ``BrokenProcessPool``, releases every claim, and leaves no worker
+    behind; the next batch forks a new pool and stores the serial pulses."""
+    before = set(multiprocessing.active_children())
+    token = tmp_path / "token"
+    token.touch()
+    service = _grape_service(
+        tmp_path, "pool", engine=_SignalsItselfGrape(signal.SIGKILL, token)
+    )
+    with pytest.raises(BrokenProcessPool):
+        service.submit_batch([qft(3)])
+    assert not token.exists()
+    assert len(service.coalescer._in_flight) == 0
+    assert not _new_children(before)
+    report = service.submit_batch([qft(3)])
+    assert report.n_compiled >= 2
+    assert len(_new_children(before)) == 2
+    assert _stored(service) == serial_qft3
+    service.close()
+    assert not _new_children(before)
+
+
+def test_pool_workers_ignore_sigint(tmp_path, serial_qft3):
+    """A SIGINT that reaches a worker (a terminal's Ctrl-C goes to the
+    whole process group) does not interrupt its solve: the parent's
+    graceful drain decides when the workers stop."""
+    token = tmp_path / "token"
+    token.touch()
+    service = _grape_service(
+        tmp_path, "pool", engine=_SignalsItselfGrape(signal.SIGINT, token)
+    )
+    try:
+        service.submit_batch([qft(3)])
+    finally:
+        service.close()
+    assert not token.exists()
+    assert _stored(service) == serial_qft3
+
+
+def test_concurrent_batches_fork_one_pool(tmp_path):
+    """Four threads race their first GRAPE batches onto one service whose
+    pool has three workers, more than a 2-vCPU box's cores: exactly one
+    pool is forked, and every batch completes on it."""
+    before = set(multiprocessing.active_children())
+    service = _grape_service(tmp_path, "pool", n_workers=3)
+    programs = [qft(3), qft(4), build_named("ex2"), build_named("4gt4-v0")]
+    barrier = threading.Barrier(len(programs))
+    reports, errors = [], []
+
+    def submit(program):
+        barrier.wait(timeout=30)
+        try:
+            reports.append(service.submit_batch([program]))
+        except BaseException as error:  # reported below, not lost
+            errors.append(error)
+
+    threads = [threading.Thread(target=submit, args=(p,)) for p in programs]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        forked = _new_children(before)
+    finally:
+        sys.setswitchinterval(previous)
+        service.close()
+    assert not [thread for thread in threads if thread.is_alive()]
+    assert errors == []
+    assert len(forked) == 3
+    assert len(reports) == len(programs)
+    assert all(r.overall_latency > 0 for b in reports for r in b.requests)
+    assert not _new_children(before)
+
+
+def test_model_engine_batches_start_no_process(tmp_path):
+    """Constructing a service forks nothing, and a model-engine batch on
+    the default backend runs in the calling thread."""
+    before = set(multiprocessing.active_children())
+    service = CompileService(
+        PulseStore(str(tmp_path / "s")),
+        PipelineConfig(policy_name="map2b4l"),
+        backend="thread",
+        n_workers=2,
+    )
+    assert not _new_children(before)
+    assert service.submit_batch([qft(5)]).n_compiled >= 2
+    assert not _new_children(before)
+    service.close()
 
 
 # ------------------------------------------------------------- coalescing

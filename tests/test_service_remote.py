@@ -1274,7 +1274,7 @@ def test_worker_answers_a_pickled_part_with_an_error_and_serves_on(tmp_path):
 
 def test_no_service_module_imports_pickle():
     """Nothing under ``repro.service`` can unpickle bytes: no module there
-    imports ``pickle`` (``ProcessBackend``'s pool pickles by itself, to
+    imports ``pickle`` (the local ``PoolBackend`` pickles by itself, to
     its own children only)."""
     import repro.service
 
